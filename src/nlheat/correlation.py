@@ -98,9 +98,13 @@ def mode_weight_table(profile: VarianceProfile, dim: int,
     r2max = radius * radius
     perp = _perp_square_counts(dim - 1, r2max)
     weights = np.zeros(r2max + 1)
-    for n1 in range(1, radius + 1):
-        top = r2max - n1 * n1
-        weights[n1 * n1: n1 * n1 + top + 1] += 2.0 * n1 * perp[: top + 1]
+    if dim == 1:                    # perp is the single count perp[0] = 1
+        n1 = np.arange(1, radius + 1)
+        weights[n1 * n1] = 2.0 * n1
+    else:
+        for n1 in range(1, radius + 1):
+            top = r2max - n1 * n1
+            weights[n1 * n1: n1 * n1 + top + 1] += 2.0 * n1 * perp[: top + 1]
     s = np.arange(r2max + 1)
     wsig = weights * profile.sigma2_from_r2(s.astype(float))
     keep = wsig != 0.0

@@ -10,7 +10,7 @@ CSV.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 import csv
 import json
 import math
@@ -192,7 +192,8 @@ def _inflation_trial(args):
     partition = DyadicPartition()
 
     def drift(t):
-        return drift_scalar(prof, cfg.dim, t, radius=radius) * direction
+        # quadratic in the Gaussian part, which the data scale by epsilon
+        return epsilon ** 2 * drift_scalar(prof, cfg.dim, t, radius=radius) * direction
 
     out = {"trial": trial, "radius": radius, "seed": cfg.seed}
     for arm, Y in (("adversarial", Y_adv), ("control", Y_ctl)):
@@ -294,12 +295,7 @@ def run_perturbed_inflation(cfg: ExperimentConfig) -> dict:
             base_field = SpectralField.constant(grid, np.asarray(base, float))
         else:
             raise ConfigError("experiment.base must be 'zero' or a vector")
-        sub = ExperimentConfig(
-            kind=cfg.kind, seed=cfg.seed, dim=cfg.dim, out=cfg.out,
-            threads=cfg.threads, profile=cfg.profile,
-            nonlinearity=cfg.nonlinearity, pair=cfg.pair, solver=cfg.solver,
-            experiment={**cfg.experiment, "radii": [radius]},
-            params=cfg.params)
+        sub = replace(cfg, experiment={**cfg.experiment, "radii": [radius]})
         res = run_inflation(sub, base_field.coeffs, eps)
         entry = res["per_radius"][radius]
         dists = [r["adversarial"]["u0_holder_eta"] for r in res["records"]]

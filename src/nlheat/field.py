@@ -11,7 +11,7 @@ grid (2/3-rule dealiasing) so that products are exact on the retained band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -81,6 +81,11 @@ class TorusGrid:
         for axis in range(self.dim):
             out = out + self.axis_wavenumbers(axis).astype(float) ** 2
         return out
+
+    @cached_property
+    def derivative_multipliers(self) -> np.ndarray:
+        """i k_axis on the full cube for each axis, shape (dim, M, ..., M)."""
+        return 1j * np.array(np.meshgrid(*[self.wavenumbers] * self.dim, indexing="ij"))
 
     @property
     def mode_shape(self) -> tuple[int, ...]:
@@ -217,8 +222,10 @@ class SpectralField:
 
 # -- transforms ---------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _band_indices(grid: TorusGrid, points: int) -> tuple[np.ndarray, ...]:
     pos = grid.wavenumbers % points
+    pos.setflags(write=False)       # cached: shared by every caller
     return np.ix_(*([pos] * grid.dim))
 
 

@@ -44,6 +44,8 @@ def read_field(path, points_per_axis: int = 0) -> SpectralField:
     if version != VERSION:
         raise ValueError(f"unsupported GFSF version {version}")
     count = components * modes ** dim
+    if len(raw) != 17 + 16 * count:
+        raise ValueError(f"GFSF file has {len(raw)} bytes, expected {17 + 16 * count}")
     coeffs = np.frombuffer(raw[17:], dtype="<c16", count=count).astype(complex)
     grid = TorusGrid(dim, modes, points_per_axis)
     return SpectralField(grid, coeffs.reshape((components,) + grid.mode_shape))

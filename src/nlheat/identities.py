@@ -10,6 +10,7 @@ the rotation algebra, and the telescoping partition of unity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 import math
 
 import numpy as np
@@ -65,11 +66,11 @@ def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
     check("derivative/semigroup commutation",
           np.max(np.abs(lhs.coeffs - rhs.coeffs)))
 
-    # Leibniz through the product: d(fg) = (df) g + f (dg)
+    # Leibniz through the product: d(fg) = (df) g + f (dg), on the last axis
     prod = pointwise_product(f, g)
-    lhs = prod.derivative(1)
-    rhs = pointwise_product(f.derivative(1), g) \
-        + pointwise_product(f, g.derivative(1))
+    lhs = prod.derivative(dim - 1)
+    rhs = pointwise_product(f.derivative(dim - 1), g) \
+        + pointwise_product(f, g.derivative(dim - 1))
     scale = 1.0 + np.max(np.abs(lhs.coeffs))
     check("Leibniz rule (dealiased)",
           np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale, 1e-10)
@@ -120,12 +121,12 @@ def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
     # bucketed expectation matches direct lattice enumeration
     direct = 0.0
     K = grid.half_band
-    for n1 in range(-K, K + 1):
-        for n2 in range(-K, K + 1):
-            if n1 > 0 and n1 * n1 + n2 * n2 <= K * K:
-                direct += 2.0 * n1 * math.exp(-2.0 * (n1 * n1 + n2 * n2) * t)
+    for n in product(range(-K, K + 1), repeat=dim):
+        n2 = sum(x * x for x in n)
+        if n[0] > 0 and n2 <= K * K:
+            direct += 2.0 * n[0] * math.exp(-2.0 * n2 * t)
     check("bucketed E Z_t vs direct sum",
-          abs(expected_Zt(prof, 2, t, radius=K) - direct) / (1.0 + direct),
+          abs(expected_Zt(prof, dim, t, radius=K) - direct) / (1.0 + direct),
           1e-12)
 
     return out

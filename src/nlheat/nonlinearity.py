@@ -13,7 +13,8 @@ with p2, p3 symmetrised over their input slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import numpy as np
@@ -70,11 +71,24 @@ class NonlinearitySpec:
         p3 = np.zeros((n, n, n, n)) if p3 is None else _symmetrize(np.asarray(p3, float), 3)
         return cls(dim, n, B, p0, p1, p2, p3)
 
+    @cached_property
+    def plan(self) -> dict:
+        """Non-zero terms as name -> (columns, *slot indices), built once.
+
+        For ``B`` column s is B[i_s, :, a_s, b_s] over the (i, a, b) slots
+        with a non-zero column; for ``p0``..``p3`` see ``_monomials``.
+        """
+        nz = np.nonzero(np.any(self.B != 0, axis=1))
+        terms = {"B": (self.B[nz[0], :, nz[1], nz[2]].T, *nz)}
+        terms.update((f"p{k}", _monomials(getattr(self, f"p{k}"), k))
+                     for k in range(4))
+        return {name: term for name, term in terms.items() if term[0].size}
+
     def has_quadratic(self) -> bool:
-        return bool(np.any(self.B) or np.any(self.p2))
+        return "B" in self.plan or "p2" in self.plan
 
     def has_cubic(self) -> bool:
-        return bool(np.any(self.p3))
+        return "p3" in self.plan
 
     def bilinear_on_basis(self, i: int, a: int, b: int) -> np.ndarray:
         """B_i(T^a, T^b) as a vector in E (0-based indices)."""
@@ -91,6 +105,19 @@ class NonlinearitySpec:
             self.p0[perm], self.p1[perm][:, perm],
             self.p2[perm][:, perm][:, :, perm],
             self.p3[perm][:, perm][:, :, perm][:, :, :, perm])
+
+
+def _monomials(tensor: np.ndarray, degree: int) -> tuple:
+    """(columns, *slots) over the monomials u_a u_b ..., a <= b <= ..., with a
+    non-zero column: the sum of the entries over the distinct orderings of
+    the slots (the symmetric entry times the multiplicity)."""
+    keys, cols = [], []
+    for idx in combinations_with_replacement(range(tensor.shape[0]), degree):
+        col = sum(tensor[(slice(None),) + p] for p in dict.fromkeys(permutations(idx)))
+        if np.any(col):
+            keys.append(idx)
+            cols.append(col)
+    return (np.array(cols).reshape(len(keys), len(tensor)).T, *np.array(keys, int).T)
 
 
 def asymmetry_witness(spec: NonlinearitySpec):

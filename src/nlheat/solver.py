@@ -62,9 +62,11 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                          spec: NonlinearitySpec) -> tuple[np.ndarray, float]:
     """Fourier coefficients of B(u, Du) + P(u) and the physical sup of u.
 
-    Tensor contractions are done in physical space on the oversampled grid;
-    the result is analysed back onto the working band (dealiased for the
-    polynomial degrees actually present).
+    On the flattened oversampled grid, each non-zero term of ``spec.plan``
+    is one matrix product: its columns times u_a d_i u_b over the B slots,
+    or times the distinct monomials u_a u_b ... of p0..p3.  The result is
+    analysed back onto the working band (dealiased for the polynomial
+    degrees actually present).
     """
     if spec.has_cubic() and not grid.cubic_headroom():
         raise ValueError("cubic nonlinearity needs G >= 2M oversampling")
@@ -72,22 +74,19 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
         raise ValueError("quadratic nonlinearity needs G >= ceil(3M/2)")
     u_phys = synthesize_coeffs(coeffs, grid).real       # (nE, G..)
     sup_u = float(np.max(np.abs(u_phys))) if u_phys.size else 0.0
-    out = np.zeros_like(u_phys)
-    if np.any(spec.B):
-        kmults = np.stack([1j * grid.axis_wavenumbers(i) * np.ones(grid.mode_shape)
-                           for i in range(grid.dim)])
-        du = synthesize_coeffs(kmults[:, None] * coeffs[None], grid).real
-        out += np.einsum("icab,a...,ib...->c...", spec.B, u_phys, du)
-    if np.any(spec.p0):
-        out += spec.p0.reshape((-1,) + (1,) * grid.dim)
-    if np.any(spec.p1):
-        out += np.einsum("ca,a...->c...", spec.p1, u_phys)
-    if np.any(spec.p2):
-        out += np.einsum("cab,a...,b...->c...", spec.p2, u_phys, u_phys)
-    if spec.has_cubic():
-        out += np.einsum("cabe,a...,b...,e...->c...",
-                         spec.p3, u_phys, u_phys, u_phys)
-    return analyze_values(out, grid), sup_u
+    u = u_phys.reshape(len(u_phys), -1)
+    out = np.zeros_like(u)
+    for name, (cols, *slots) in spec.plan.items():
+        if name == "B":
+            du = synthesize_coeffs(grid.derivative_multipliers[:, None] * coeffs[None],
+                                   grid).real.reshape(grid.dim, len(u), -1)
+            factors = u[slots[1]] * du[slots[0], slots[2]]
+        else:
+            factors = np.ones((1, u.shape[1]))
+            for slot in slots:
+                factors = factors * u[slot]
+        out += cols @ factors
+    return analyze_values(out.reshape(u_phys.shape), grid), sup_u
 
 
 def evaluate_rhs_nonlinear(u: SpectralField, spec: NonlinearitySpec) -> SpectralField:

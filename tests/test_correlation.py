@@ -1,5 +1,6 @@
 """Drift quantities: exact sums, identities, quadrature, statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
                                 decorrelated_statistic, drift_I, drift_scalar,
                                 expected_Zt, geometric_grid,
-                                graded_quadrature_nodes, trend_slope,
-                                weighted_drift_integral)
+                                graded_quadrature_nodes, mode_weight_table,
+                                trend_slope, weighted_drift_integral)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -71,6 +72,23 @@ class TestExactSums:
                             * prof.sigma2_from_r2(np.array(float(r2)))
         got = expected_Zt(prof, 3, t)
         assert abs(got - direct) < 1e-12 * (1 + direct)
+
+    @pytest.mark.parametrize("dim, radius", [(1, 1), (1, 7), (2, 4), (2, 6),
+                                             (3, 3), (3, 5)])
+    def test_weight_table_matches_direct_lattice(self, dim, radius):
+        # exact: the weights are integer sums times sigma^2 at each n^2
+        prof = VarianceProfile.power_log(dim, radius, -1.0, -1.0)
+        counts = {}
+        for n in itertools.product(range(-radius, radius + 1), repeat=dim):
+            r2 = sum(x * x for x in n)
+            if n[0] > 0 and r2 <= radius * radius:
+                counts[r2] = counts.get(r2, 0) + 2 * n[0]
+        keys = sorted(counts)
+        want = np.array([counts[k] for k in keys], float) \
+            * prof.sigma2_from_r2(np.array(keys, float))
+        s, w = mode_weight_table(prof, dim, radius)
+        assert s.tolist() == keys
+        assert np.array_equal(w, want)
 
     def test_monotone_decreasing_convex(self):
         prof = VarianceProfile.white(8)

@@ -132,6 +132,17 @@ class TestInflation:
             assert half["per_radius"][N]["distance_median"] > 0
 
 
+    def test_perturb_drift_scales_with_epsilon_squared(self):
+        finals = {}
+        for eps in (1.0, 0.5):
+            doc = tiny_doc(kind="perturb")
+            doc["experiment"].update(epsilon=eps, base="zero", radii=[8],
+                                     trials=1)
+            res = run_perturbed_inflation(ExperimentConfig.from_dict(doc))
+            finals[eps] = res["records"][0]["adversarial"]["drift_final"]
+        assert finals[0.5] == pytest.approx(0.25 * finals[1.0], rel=1e-12)
+
+
 class TestTables:
     def base_doc(self):
         return {
@@ -220,4 +231,15 @@ class TestGfsf:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError):
+            read_field(path)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_wrong_length_rejected(self, tmp_path, delta):
+        X = sample_real_gfs(VarianceProfile.white(4), TorusGrid(1, 9),
+                            stream(1, 0))
+        path = tmp_path / "x.gfsf"
+        write_field(path, X, sidecar=False)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" if delta > 0 else raw[:-1])
+        with pytest.raises(ValueError, match="bytes"):
             read_field(path)
