@@ -10,12 +10,16 @@ taken on a dense physical grid (default 4M points per axis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
+from scipy import fft as sfft
 
 from .field import SpectralField, TorusGrid, synthesize_coeffs
-from scipy import fft as sfft
+
+#: largest real (batch, level, G^d) array one holder_norms_batch synthesis makes
+BATCH_BYTES = 256 * 2 ** 20
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
@@ -68,11 +72,14 @@ class DyadicPartition:
             return -1
         return int(math.ceil(math.log2(radius / self.inner)))
 
+    @lru_cache(maxsize=32)
     def multipliers(self, grid: TorusGrid) -> np.ndarray:
-        """Stack chi_l(k) over l = -1..max_level, shape (L+2, M, ..., M)."""
+        """Stack chi_l(k) over l = -1..max_level, shape (L+2, M..); cached, read-only."""
         r = np.sqrt(grid.k_squared)
         top = self.max_level(grid.half_band * math.sqrt(grid.dim))
-        return np.stack([self.chi_level(l, r) for l in range(-1, top + 1)])
+        out = np.stack([self.chi_level(l, r) for l in range(-1, top + 1)])
+        out.setflags(write=False)
+        return out
 
 
 def lp_block(field: SpectralField, level: int,
@@ -96,12 +103,13 @@ def block_lp_norms(field: SpectralField, p: float,
     the dense physical grid.
     """
     partition = partition or DyadicPartition()
+    field.require_real()
     grid = field.grid
     mult = partition.multipliers(grid)              # (L, M..)
     blocks = field.coeffs[None] * mult[:, None]     # (L, nc, M..)
     pts = points or _dense_points(grid)
-    vals = np.abs(synthesize_coeffs(blocks, grid, pts))
-    flat = vals.reshape(vals.shape[0], vals.shape[1], -1)
+    vals = synthesize_coeffs(blocks, grid, pts).reshape(len(mult), field.components, -1)
+    flat = np.abs(vals, out=vals)
     if math.isinf(p):
         return flat.max(axis=-1)
     return (np.mean(flat ** p, axis=-1)) ** (1.0 / p)
@@ -138,17 +146,21 @@ def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
                        points: int | None = None) -> np.ndarray:
     """C^alpha norms of a batch of scalar coefficient cubes, shape (B,).
 
-    ``coeff_stack`` has shape (B, M, ..., M); one synthesis call covers
-    every (batch, level) pair.
+    ``coeff_stack`` (B, M, ..., M) holds real fields; one synthesis covers
+    every (batch, level) pair of a chunk of at most ``BATCH_BYTES`` of values.
     """
     partition = partition or DyadicPartition()
+    SpectralField(grid, coeff_stack).require_real()
     mult = partition.multipliers(grid)                    # (L, M..)
-    blocks = coeff_stack[:, None] * mult[None]            # (B, L, M..)
     pts = points or _dense_points(grid)
-    vals = np.abs(synthesize_coeffs(blocks, grid, pts))
-    sup = vals.reshape(vals.shape[0], vals.shape[1], -1).max(axis=-1)  # (B, L)
+    rows = max(1, BATCH_BYTES // (8 * len(mult) * pts ** grid.dim))
+    sup = []
+    for start in range(0, len(coeff_stack), rows):
+        blocks = coeff_stack[start:start + rows, None] * mult    # (b, L, M..)
+        vals = synthesize_coeffs(blocks, grid, pts).reshape(len(blocks), len(mult), -1)
+        sup.append(np.abs(vals, out=vals).max(axis=-1))
     levels = np.arange(-1, mult.shape[0] - 1)
-    return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)
+    return (2.0 ** (alpha * levels)[None, :] * np.concatenate(sup)).max(axis=1)
 
 
 def block_table(field: SpectralField, alpha: float, p: float,

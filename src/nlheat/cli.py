@@ -14,16 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .experiments import (ConfigError, ExperimentConfig, run_besov_convergence,
-                          run_inflation, run_perturbed_inflation,
-                          run_remainder_tracking, run_tables, write_csv,
-                          write_records_jsonl)
-from .field import TorusGrid, dealias_points
+from .experiments import (ConfigError, ExperimentConfig, _trial_grid,
+                          run_besov_convergence, run_inflation,
+                          run_perturbed_inflation, run_remainder_tracking,
+                          run_tables, write_csv, write_records_jsonl)
 from .gfsf import write_field
 from .identities import run_identity_suite
-from .nonlinearity import asymmetry_witness
 from .sampling import GfsSpec, sample_E_valued, stream
 from .solver import solve
 
@@ -60,8 +56,7 @@ def cmd_sample(args) -> int:
     cfg = _load_config(args)
     nl = cfg.nonlinearity_spec()
     radius = cfg.radii()[0]
-    grid = TorusGrid(cfg.dim, 2 * radius + 1,
-                     dealias_points(2 * radius + 1, cubic=nl.has_cubic()))
+    grid = _trial_grid(cfg, radius, nl)
     spec = GfsSpec.uniform(grid, cfg.profile_for(radius), nl.dim_E)
     rngs = [stream(cfg.seed, 0, c) for c in range(nl.dim_E)]
     X = sample_E_valued(spec, rngs)
@@ -77,15 +72,15 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     nl = cfg.nonlinearity_spec()
     radius = cfg.radii()[0]
-    grid = TorusGrid(cfg.dim, 2 * radius + 1,
-                     dealias_points(2 * radius + 1, cubic=nl.has_cubic()))
+    grid = _trial_grid(cfg, radius, nl)
     spec = GfsSpec.uniform(grid, cfg.profile_for(radius), nl.dim_E)
     rngs = [stream(cfg.seed, 0, c) for c in range(nl.dim_E)]
     u0 = sample_E_valued(spec, rngs)
     traj = solve(u0, nl, cfg.solve_config(radius))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "final.gfsf", traj.fields[-1])
+    if traj.status == "completed":
+        write_field(out / "final.gfsf", traj.fields[-1])
     rows = [(t,) + tuple(z) for t, z in
             zip(traj.zero_mode_times, traj.zero_mode_path)]
     write_csv(out / "zero_mode.csv",

@@ -19,8 +19,9 @@ import math
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .field import SpectralField
-from .sampling import VarianceProfile
+from .besov import holder_norms_batch
+from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
+from .sampling import VarianceProfile, sample_real_gfs, stream
 
 
 @dataclass(frozen=True)
@@ -322,13 +323,11 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     With ``remove_mean`` False the zero mode is kept (only meaningful for
     independent pairs, or as a positive control for the resonant mean).
     """
-    from .besov import holder_norms_batch
     grid = X.grid
     t_grid = np.asarray(t_grid, dtype=float)
     decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))   # (T, M..)
     xa = X.coeffs[0][None] * decay
     yb = (Y.derivative(axis).coeffs[0])[None] * decay
-    from .field import synthesize_coeffs, analyze_values
     prod = synthesize_coeffs(xa, grid) * synthesize_coeffs(yb, grid)
     coeffs = analyze_values(prod, grid)                          # (T, M..)
     if remove_mean:
@@ -363,7 +362,6 @@ class TrendReport:
 
 def _pair_fields(profile, grid, kind: str, master_seed: int, trial: int):
     """Scalar (X, Y) for one trial: adversarial, control, or self pair."""
-    from .sampling import sample_real_gfs, stream
     X = sample_real_gfs(profile, grid, stream(master_seed, trial, 0))
     if kind == "adversarial":
         return X, X.rotate()
@@ -387,7 +385,6 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
     series is defined; the coupling keeps the per-N laws exact while
     cancelling most of the Monte Carlo noise in the trend.
     """
-    from .field import TorusGrid
     params.check_dim(dim)
     t_grid = geometric_grid(1.0, t_min, per_decade)
     radii = sorted(int(N) for N in radii)
@@ -412,8 +409,6 @@ def moment_experiment_Z(profile_for_N, dim: int, params: ParameterSet,
 
     Coupled across N by band truncation of one sample, as above.
     """
-    from .field import TorusGrid
-    from .sampling import sample_real_gfs, stream
     params.check_dim(dim)
     t_grid = geometric_grid(1.0, t_min, per_decade)
     radii = sorted(int(N) for N in radii)

@@ -25,7 +25,7 @@ from .correlation import (ParameterSet, drift_scalar, geometric_grid,
 from .field import SpectralField, TorusGrid, dealias_points
 from .nonlinearity import NonlinearitySpec, asymmetry_witness, drift_direction, preset
 from .sampling import GfsSpec, VarianceProfile, build_adversarial_pair, \
-    sample_E_valued, stream
+    sample_E_valued, sample_real_gfs, stream
 from .solver import SolveConfig, remainder_norms, solve
 
 
@@ -225,7 +225,6 @@ def _besov_trial(args):
     q = math.inf if q in ("inf", math.inf, None) else float(q)
     grid = TorusGrid(cfg.dim, 2 * ref + 1, 2 * ref + 2)
     prof = cfg.profile_for(ref)
-    from .sampling import sample_real_gfs
     X = sample_real_gfs(prof, grid, stream(cfg.seed, trial, 0))
     out = {"trial": trial, "norms": {}}
     for N in radii:

@@ -6,6 +6,10 @@ are stored on the full wavenumber cube {-K, ..., K}^d with K = (M-1)/2,
 one complex array per vector component.  All operators here act mode-wise
 except the pointwise product, which goes through an oversampled physical
 grid (2/3-rule dealiasing) so that products are exact on the retained band.
+
+Real fields have Hermitian coefficients, f_{-k} = conj(f_k), so the
+transforms are real-to-complex: synthesis reads only the k_d >= 0 half of
+the cube, and analysis rebuilds the k_d < 0 half as its conjugate mirror.
 """
 
 from __future__ import annotations
@@ -157,6 +161,11 @@ class SpectralField:
         scale = 1.0 + float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 1.0
         return self.reality_defect() <= tol * scale
 
+    def require_real(self, tol: float = REALITY_TOL) -> None:
+        """Raise ValueError unless the field is real (see :meth:`is_real`)."""
+        if not self.is_real(tol):
+            raise ValueError(f"field is not real (defect {self.reality_defect():.2e})")
+
     # -- linear operators ----------------------------------------------------
 
     def heat(self, t: float) -> "SpectralField":
@@ -224,55 +233,74 @@ class SpectralField:
 
 @lru_cache(maxsize=64)
 def _band_indices(grid: TorusGrid, points: int) -> tuple[np.ndarray, ...]:
+    """Open mesh placing -K..K on the leading dim-1 axes of a G-point grid."""
     pos = grid.wavenumbers % points
     pos.setflags(write=False)       # cached: shared by every caller
-    return np.ix_(*([pos] * grid.dim))
+    return np.ix_(*([pos] * (grid.dim - 1)))
 
 
 def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                       points: int | None = None) -> np.ndarray:
-    """Inverse transform of a stack of coefficient cubes onto the G^d grid.
+    """Real values of a stack of real fields at the grid x_j = 2*pi*j/G.
 
-    ``coeffs`` may have arbitrary leading axes; the trailing ``dim`` axes
-    must be the wavenumber cube.  Returns complex values at the uniform
-    grid x_j = 2*pi*j/G.
+    ``coeffs`` may have leading axes before the wavenumber cubes; only the
+    k_d >= 0 half of each (Hermitian) cube is read.
     """
     G = points or grid.points_per_axis
-    if G < grid.modes_per_axis:
-        raise ValueError("points must be >= modes_per_axis")
-    lead = coeffs.shape[:-grid.dim]
-    full = np.zeros(lead + (G,) * grid.dim, complex)
-    full[(Ellipsis,) + _band_indices(grid, G)] = coeffs
-    axes = tuple(range(len(lead), len(lead) + grid.dim))
-    return sfft.ifftn(full, axes=axes) * G ** grid.dim
+    d, K = grid.dim, grid.half_band
+    if G < grid.modes_per_axis or coeffs.shape[coeffs.ndim - d:] != grid.mode_shape:
+        raise ValueError("coefficients must end in the wavenumber cube, points >= M")
+    if d == 1:
+        return sfft.irfft(coeffs[..., K:], n=G, norm="forward")
+    half = np.zeros(coeffs.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
+    half[(Ellipsis, *_band_indices(grid, G), slice(None))] = coeffs[..., K:]
+    return sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
+                       norm="forward")
 
 
 def synthesize(field: SpectralField, points: int | None = None) -> np.ndarray:
-    """Pointwise values of the field on the uniform G^d grid (complex)."""
-    return synthesize_coeffs(field.coeffs, field.grid, points)
+    """Complex values of any field on the G^d grid, as two real syntheses."""
+    c = field.coeffs
+    mirror = np.conj(np.flip(c, axis=tuple(range(1, c.ndim))))
+    re = synthesize_coeffs(0.5 * (c + mirror), field.grid, points)
+    im = synthesize_coeffs(-0.5j * (c - mirror), field.grid, points)
+    return re + 1j * im
 
 
 def synthesize_real(field: SpectralField, points: int | None = None,
                     tol: float = 1e-10) -> np.ndarray:
-    """As :func:`synthesize` but validates and drops the imaginary part."""
-    vals = synthesize(field, points)
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    if np.max(np.abs(vals.imag)) > tol * scale:
-        raise ValueError("field is not real to tolerance")
-    return vals.real
+    """Real values of the field; raises ValueError unless it is real."""
+    field.require_real(tol)
+    return synthesize_coeffs(field.coeffs, field.grid, points)
 
 
 def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Forward transform; exact inverse of synthesis on band-limited data."""
+    """Forward transform; exact inverse of synthesis on band-limited data.
+
+    Real values give exactly Hermitian coefficients; complex values are
+    analysed as their real and imaginary parts.
+    """
     lead = values.ndim - grid.dim
     G = values.shape[-1]
     if values.shape[lead:] != (G,) * grid.dim:
         raise ValueError("physical array is not a uniform cube")
     if G < grid.modes_per_axis:
         raise ValueError("physical grid coarser than the wavenumber band")
-    axes = tuple(range(lead, values.ndim))
-    full = sfft.fftn(np.asarray(values, complex), axes=axes) / G ** grid.dim
-    return full[(Ellipsis,) + _band_indices(grid, G)]
+    if np.iscomplexobj(values):
+        return analyze_values(values.real, grid) + 1j * analyze_values(values.imag, grid)
+    d, K = grid.dim, grid.half_band
+    rev = (slice(None, None, -1),) * (d - 1)    # k -> -k on the leading axes
+    if d == 1:
+        half = sfft.rfft(values, norm="forward")
+    else:
+        half = sfft.rfftn(values, axes=tuple(range(-d, 0)), norm="forward")
+        half = half[(Ellipsis, *_band_indices(grid, G), slice(K + 1))]
+        zero = half[..., 0]     # make the k_d = 0 plane exactly Hermitian too
+        half[..., 0] = 0.5 * (zero + np.conj(zero[(Ellipsis, *rev)]))
+    out = np.empty(values.shape[:lead] + grid.mode_shape, complex)
+    out[..., K:] = half[..., :K + 1]
+    np.conjugate(half[(Ellipsis, *rev, slice(K, 0, -1))], out=out[..., :K])
+    return out
 
 
 def analyze(values: np.ndarray, grid: TorusGrid) -> SpectralField:

@@ -97,9 +97,7 @@ class NonlinearitySpec:
     def permuted(self, perm) -> "NonlinearitySpec":
         """Relabel the basis of E by the permutation ``perm`` (new <- old)."""
         perm = np.asarray(perm)
-        inv = np.argsort(perm)
         B = self.B[:, perm][:, :, perm][:, :, :, perm]
-        del inv
         return NonlinearitySpec(
             self.dim, self.dim_E, B,
             self.p0[perm], self.p1[perm][:, perm],

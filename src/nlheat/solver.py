@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .besov import holder_norm
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .nonlinearity import NonlinearitySpec
 
@@ -72,14 +73,14 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
         raise ValueError("cubic nonlinearity needs G >= 2M oversampling")
     if spec.has_quadratic() and not grid.quadratic_headroom():
         raise ValueError("quadratic nonlinearity needs G >= ceil(3M/2)")
-    u_phys = synthesize_coeffs(coeffs, grid).real       # (nE, G..)
+    u_phys = synthesize_coeffs(coeffs, grid)            # (nE, G..)
     sup_u = float(np.max(np.abs(u_phys))) if u_phys.size else 0.0
     u = u_phys.reshape(len(u_phys), -1)
     out = np.zeros_like(u)
     for name, (cols, *slots) in spec.plan.items():
         if name == "B":
             du = synthesize_coeffs(grid.derivative_multipliers[:, None] * coeffs[None],
-                                   grid).real.reshape(grid.dim, len(u), -1)
+                                   grid).reshape(grid.dim, len(u), -1)
             factors = u[slots[1]] * du[slots[0], slots[2]]
         else:
             factors = np.ones((1, u.shape[1]))
@@ -117,13 +118,14 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
 
     The zero-mode vector is recorded at every step; spectral snapshots are
     taken at the step boundaries closest to the requested snapshot times
-    (t = 0 and t = t_end are always included).
+    (t = 0 and t = t_end are always included).  u0 must be real.
     """
     grid = u0.grid
     if spec.dim != grid.dim:
         raise ValueError("nonlinearity and field dimension mismatch")
     if spec.dim_E != u0.components:
         raise ValueError("nonlinearity and field component mismatch")
+    u0.require_real()
     h = config.t_end / config.steps
     centre = (slice(None),) + (grid.half_band,) * grid.dim
     k2 = grid.k_squared
@@ -197,6 +199,5 @@ def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:
 def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
                     alpha: float, partition=None) -> np.ndarray:
     """Hoelder C^alpha norms of the remainder at the snapshot times."""
-    from .besov import holder_norm
     return np.asarray([holder_norm(r, alpha, partition)
                        for r in remainder_fields(trajectory, u0, drift)])

@@ -203,6 +203,16 @@ class TestCli:
         assert f.components == 2
         assert f.grid.modes_per_axis == 17
 
+    def test_solve_blowup_writes_no_final_field(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(tiny_doc(
+            kind="solve", solver={"blowup_threshold": 1e-12})))
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        assert "status=blewup" in capsys.readouterr().out
+        assert (out / "zero_mode.csv").exists()
+        assert not (out / "final.gfsf").exists()
+
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump(tiny_doc(kind="sample")))

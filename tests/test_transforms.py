@@ -1,0 +1,172 @@
+"""Real-to-complex transforms against the zero-padded complex FFT path.
+
+The reference below is the complex path the spectral core replaced: scatter
+the coefficient cube into a zero G^d array, then ``ifftn``/``fftn``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import fft as sfft
+
+from nlheat import besov, solver
+from nlheat.besov import DyadicPartition, block_lp_norms, holder_norms_batch
+from nlheat.field import (SpectralField, TorusGrid, analyze_values,
+                          dealias_points, synthesize, synthesize_coeffs,
+                          synthesize_real)
+from nlheat.nonlinearity import preset
+from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
+
+RTOL = 1e-12
+
+
+def _scatter_index(grid, points):
+    return (Ellipsis,) + np.ix_(*([grid.wavenumbers % points] * grid.dim))
+
+
+def ref_synthesize(coeffs, grid, points=None):
+    G = points or grid.points_per_axis
+    full = np.zeros(coeffs.shape[:-grid.dim] + (G,) * grid.dim, complex)
+    full[_scatter_index(grid, G)] = coeffs
+    return sfft.ifftn(full, axes=tuple(range(-grid.dim, 0))) * G ** grid.dim
+
+
+def ref_analyze(values, grid):
+    G = values.shape[-1]
+    full = sfft.fftn(np.asarray(values, complex),
+                     axes=tuple(range(-grid.dim, 0))) / G ** grid.dim
+    return full[_scatter_index(grid, G)]
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def random_coeffs(rng, lead, grid, hermitian=True):
+    shape = lead + grid.mode_shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if not hermitian:
+        return c
+    flip = tuple(range(-grid.dim, 0))
+    return 0.5 * (c + np.conj(np.flip(c, axis=flip)))
+
+
+GRIDS = [(1, 7, 11), (1, 7, 12), (1, 9, 9), (2, 7, 11), (2, 7, 12),
+         (3, 5, 7), (3, 5, 8)]
+
+
+@pytest.mark.parametrize("dim, modes, points", GRIDS)
+def test_synthesis_matches_complex_path(dim, modes, points):
+    grid = TorusGrid(dim, modes, points)
+    coeffs = random_coeffs(np.random.default_rng(modes + points), (2, 3), grid)
+    got = synthesize_coeffs(coeffs, grid)
+    assert got.dtype == np.float64 and got.shape == (2, 3) + (points,) * dim
+    assert rel_err(got, ref_synthesize(coeffs, grid)) <= RTOL
+
+
+@pytest.mark.parametrize("dim, modes, points", GRIDS)
+def test_analysis_matches_complex_path_and_is_hermitian(dim, modes, points):
+    grid = TorusGrid(dim, modes, points)
+    values = np.random.default_rng(dim).standard_normal((2, 3) + (points,) * dim)
+    got = analyze_values(values, grid)
+    assert rel_err(got, ref_analyze(values, grid)) <= RTOL
+    assert SpectralField(grid, got.reshape((6,) + grid.mode_shape)).reality_defect() == 0
+
+
+@pytest.mark.parametrize("dim, modes, points", GRIDS)
+def test_complex_fields_match_complex_path(dim, modes, points):
+    grid = TorusGrid(dim, modes, points)
+    coeffs = random_coeffs(np.random.default_rng(7), (2,), grid, hermitian=False)
+    values = synthesize(SpectralField(grid, coeffs))
+    assert rel_err(values, ref_synthesize(coeffs, grid)) <= RTOL
+    assert rel_err(analyze_values(values, grid), coeffs) <= RTOL
+
+
+def test_multipliers_are_cached_and_read_only():
+    grid = TorusGrid(2, 17)
+    first = DyadicPartition().multipliers(grid)
+    assert DyadicPartition().multipliers(grid) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 2.0
+
+
+def _patch_reference(monkeypatch):
+    monkeypatch.setattr(solver, "synthesize_coeffs",
+                        lambda c, g, points=None: ref_synthesize(c, g, points).real)
+    monkeypatch.setattr(solver, "analyze_values", ref_analyze)
+
+
+def test_solve_matches_complex_path(monkeypatch):
+    spec = preset("antisym2", 1)
+    grid = TorusGrid(1, 129, dealias_points(129))
+    prof = VarianceProfile.white(64)
+    u0 = SpectralField.from_components(
+        [sample_real_gfs(prof, grid, stream(5, 0, c)) for c in range(2)])
+    config = solver.SolveConfig(t_end=20 * 0.5 / 64 ** 2, steps=20)
+    new = solver.solve(u0, spec, config)
+    _patch_reference(monkeypatch)
+    old = solver.solve(u0, spec, config)
+    assert new.status == old.status == "completed"
+    assert rel_err(new.zero_mode_path, old.zero_mode_path) <= RTOL
+    assert rel_err(new.fields[-1].coeffs, old.fields[-1].coeffs) <= RTOL
+
+
+def test_dym_rhs_matches_complex_path(monkeypatch):
+    spec = preset("dym", 3)
+    grid = TorusGrid(3, 9, dealias_points(9, cubic=True))
+    coeffs = random_coeffs(np.random.default_rng(3), (spec.dim_E,), grid)
+    new, new_sup = solver.nonlinear_rhs_coeffs(coeffs, grid, spec)
+    _patch_reference(monkeypatch)
+    old, old_sup = solver.nonlinear_rhs_coeffs(coeffs, grid, spec)
+    assert rel_err(new, old) <= RTOL
+    assert abs(new_sup - old_sup) <= RTOL * old_sup
+
+
+# -- non-real input is rejected -----------------------------------------------
+
+def non_real_field(grid, components=2):
+    coeffs = random_coeffs(np.random.default_rng(11), (components,), grid)
+    coeffs[(0,) + (grid.half_band + 1,) * grid.dim] += 1e-3j
+    return SpectralField(grid, coeffs)
+
+
+def test_solve_rejects_non_real_data():
+    spec = preset("antisym2", 1)
+    grid = TorusGrid(1, 17)
+    with pytest.raises(ValueError, match="not real"):
+        solver.solve(non_real_field(grid), spec,
+                     solver.SolveConfig(t_end=0.01, steps=2))
+
+
+def test_besov_norms_reject_non_real_fields():
+    grid = TorusGrid(2, 9)
+    f = non_real_field(grid)
+    with pytest.raises(ValueError, match="not real"):
+        block_lp_norms(f, math.inf)
+    with pytest.raises(ValueError, match="not real"):
+        holder_norms_batch(f.coeffs, grid, -0.5)
+
+
+def test_synthesize_real_checks_coefficients():
+    grid = TorusGrid(1, 9)
+    f = non_real_field(grid, components=1)
+    with pytest.raises(ValueError, match="not real"):
+        synthesize_real(f)
+    g = SpectralField(grid, random_coeffs(np.random.default_rng(2), (1,), grid))
+    assert np.array_equal(synthesize_real(g), synthesize_coeffs(g.coeffs, grid))
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 33), (2, 9)])
+def test_holder_batch_chunks_match_one_shot(monkeypatch, dim, modes):
+    grid = TorusGrid(dim, modes)
+    stack = random_coeffs(np.random.default_rng(dim), (7,), grid)
+    one_shot = holder_norms_batch(stack, grid, -0.5)
+    calls = []
+    monkeypatch.setattr(besov, "synthesize_coeffs",
+                        lambda *a: calls.append(1) or synthesize_coeffs(*a))
+    monkeypatch.setattr(besov, "BATCH_BYTES", 1)    # one batch row per chunk
+    chunked = holder_norms_batch(stack, grid, -0.5)
+    assert len(calls) == len(stack)
+    assert np.max(np.abs(chunked - one_shot)) <= RTOL * np.max(one_shot)
