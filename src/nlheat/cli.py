@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +51,16 @@ def _emit(summary: dict, out_dir: Path) -> None:
     (out_dir / "summary.json").write_text(
         json.dumps(_strip_records(summary), sort_keys=True, indent=2,
                    default=str) + "\n")
+
+
+def _medians_finite(summary: dict) -> bool:
+    """Say at which radius a median is not finite; True when none is."""
+    bad = {N: e for N, e in summary["per_radius"].items()
+           if not all(math.isfinite(v) for k, v in e.items() if k.endswith("median"))}
+    for N, e in bad.items():
+        print(f"N={N}: non-finite median ({e['blowups']} adversarial and "
+              f"{e['control_blowups']} control trials blew up)")
+    return not bad
 
 
 def cmd_sample(args) -> int:
@@ -109,7 +120,7 @@ def cmd_inflate(args) -> int:
                "blowups"], rows)
     increasing = all(b > a for a, b in zip(adv, adv[1:]))
     print(f"adversarial medians increasing: {increasing}")
-    return 0 if increasing else 1
+    return 0 if _medians_finite(summary) and increasing else 1
 
 
 def cmd_perturb(args) -> int:
@@ -124,7 +135,7 @@ def cmd_perturb(args) -> int:
         print(f"N={N}: adversarial={e['adversarial_median']:.6g} "
               f"distance={e['distance_median']:.6g}")
     increasing = all(b > a for a, b in zip(adv, adv[1:]))
-    return 0 if increasing else 1
+    return 0 if _medians_finite(summary) and increasing else 1
 
 
 def cmd_besov(args) -> int:

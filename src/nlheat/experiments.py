@@ -48,8 +48,7 @@ _PARAM_KEYS = ("delta", "beta", "eta")
 _TOP_KEYS = ("kind", "seed", "out", "threads", "grid", "profile",
              "nonlinearity", "pair", "solver", "experiment", "params")
 
-KINDS = ("sample", "solve", "inflate", "perturb", "besov", "remainder",
-         "tables", "identities", "moments")
+KINDS = ("sample", "solve", "inflate", "perturb", "besov", "remainder", "tables")
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class ExperimentConfig:
 def _trial_grid(cfg: ExperimentConfig, radius: int,
                 nl: NonlinearitySpec) -> TorusGrid:
     M = 2 * radius + 1
-    return TorusGrid(cfg.dim, M, dealias_points(M, cubic=nl.has_cubic()))
+    return TorusGrid(cfg.dim, M, dealias_points(M, nl.has_cubic(), cfg.dim))
 
 
 def _inflation_trial(args):
@@ -247,8 +246,8 @@ def run_inflation(cfg: ExperimentConfig, base_coeffs=None,
                   epsilon: float = 1.0) -> dict:
     """Adversarial-vs-control zero-mode growth across the cutoff list.
 
-    Returns a summary with per-radius medians for both arms, the
-    remainder statistics of the adversarial arm, and all trial records.
+    Returns per-radius blow-up counts and medians over completed trials for
+    both arms, the adversarial remainder statistics, and all trial records.
     """
     nl = cfg.nonlinearity_spec()
     if asymmetry_witness(nl) is None:
@@ -263,15 +262,16 @@ def run_inflation(cfg: ExperimentConfig, base_coeffs=None,
     summary = {"kind": cfg.kind, "radii": cfg.radii(), "per_radius": {}}
     for radius in cfg.radii():
         rows = [r for r in records if r["radius"] == radius]
-        med = lambda arm, key: float(np.median(
-            [r[arm][key] for r in rows if key in r[arm]]))
+        def med(arm, key):      # NaN, without a warning, when none completed
+            vals = [r[arm][key] for r in rows if r[arm]["status"] == "completed"]
+            return float(np.median(vals)) if vals else math.nan
         entry = {
             "adversarial_median": med("adversarial", "zero_mode_sup"),
             "control_median": med("control", "zero_mode_sup"),
             "remainder_median": med("adversarial", "remainder_sup"),
             "drift_final_median": med("adversarial", "drift_final"),
-            "blowups": sum(r["adversarial"]["status"] != "completed"
-                           for r in rows),
+            "blowups": sum(r["adversarial"]["status"] != "completed" for r in rows),
+            "control_blowups": sum(r["control"]["status"] != "completed" for r in rows),
         }
         entry["ratio"] = entry["adversarial_median"] / entry["control_median"]
         summary["per_radius"][radius] = entry

@@ -25,14 +25,16 @@ from scipy import fft as sfft
 REALITY_TOL = 1e-12
 
 
-def dealias_points(modes_per_axis: int, cubic: bool = False) -> int:
+def dealias_points(modes_per_axis: int, cubic: bool = False, dim: int = 1) -> int:
     """Smallest FFT-friendly physical grid with dealiasing headroom.
 
     Quadratic products need G >= ceil(3M/2); cubic contractions need
-    G >= 2M.
+    G >= 2M; any such G gives the same products up to rounding.  At d = 1
+    the transforms are real and G is 5-smooth, where they run fastest (3125,
+    not 3080, at M = 2049); at d >= 2 G is the complex fast size.
     """
     need = 2 * modes_per_axis if cubic else math.ceil(3 * modes_per_axis / 2)
-    return sfft.next_fast_len(need)
+    return sfft.next_fast_len(need, real=dim == 1)
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class TorusGrid:
     Attributes:
         dim: spatial dimension d >= 1.
         modes_per_axis: odd M; wavenumbers run over {-(M-1)/2, ..., (M-1)/2}.
-        points_per_axis: G >= M physical points per axis.  Defaults to the
-            smallest fast size with quadratic dealiasing headroom.
+        points_per_axis: G >= M physical points per axis.  Defaults to
+            ``dealias_points(M, dim=dim)``, 5-smooth at d = 1 (see there).
     """
 
     dim: int
@@ -57,8 +59,8 @@ class TorusGrid:
             raise ValueError(
                 f"modes_per_axis must be odd and positive, got {self.modes_per_axis}")
         if self.points_per_axis == 0:
-            object.__setattr__(
-                self, "points_per_axis", dealias_points(self.modes_per_axis))
+            object.__setattr__(self, "points_per_axis",
+                               dealias_points(self.modes_per_axis, dim=self.dim))
         if self.points_per_axis < self.modes_per_axis:
             raise ValueError("points_per_axis must be >= modes_per_axis")
 

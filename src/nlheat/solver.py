@@ -131,8 +131,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     k2 = grid.k_squared
     decay = np.exp(-k2 * h)
     z = -k2 * h
-    phi1 = _phi1(z)
-    phi2 = _phi2(z)
+    hphi1, hphi2 = h * _phi1(z), h * _phi2(z)       # loop invariants
 
     snap_steps = {0, config.steps}
     for t in config.snapshot_times:
@@ -158,9 +157,9 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
         if config.scheme == "exponential-euler":
             u = decay * (u + h * n0)
         else:
-            stage = decay * u + h * phi1 * n0
+            stage = decay * u + hphi1 * n0
             n1, _ = nonlinear_rhs_coeffs(stage, grid, spec)
-            u = stage + h * phi2 * (n1 - n0)
+            u = stage + hphi2 * (n1 - n0)
         if not np.all(np.isfinite(u)):
             status, blowup_time = "blewup", step * h
             break

@@ -1,14 +1,17 @@
 """Experiment orchestration: config validation, determinism, CLI, GFSF."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+from nlheat import experiments
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
-                                _inflation_trial, run_inflation,
+                                _inflation_trial, _trial_grid, run_inflation,
                                 run_perturbed_inflation, run_tables)
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
@@ -57,6 +60,22 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(tiny_doc(kind="explode"))
+
+    @pytest.mark.parametrize("kind", ["identities", "moments"])
+    def test_kinds_nothing_runs_are_rejected(self, kind):
+        with pytest.raises(ConfigError, match="kind"):
+            ExperimentConfig.from_dict(tiny_doc(kind=kind))
+
+    @pytest.mark.parametrize("dim, name, radius, points", [
+        (1, "antisym2", 64, 200), (1, "antisym2", 1024, 3125),
+        (2, "dym", 16, 66), (2, "dymh", 8, 35), (3, "dym", 4, 18),
+        (3, "dym", 8, 35), (2, "antisym2", 16, 50), (3, "antisym2", 16, 50)])
+    def test_trial_grid_sizes(self, dim, name, radius, points):
+        # d >= 2 keeps the complex fast sizes; d = 1 takes 5-smooth ones
+        cfg = ExperimentConfig.from_dict(tiny_doc(
+            grid={"dim": dim}, nonlinearity={"preset": name}))
+        grid = _trial_grid(cfg, radius, cfg.nonlinearity_spec())
+        assert grid.points_per_axis == points
 
     def test_profile_dispatch(self):
         cfg = ExperimentConfig.from_dict(tiny_doc(
@@ -114,6 +133,57 @@ class TestInflation:
     def test_summary_covers_radii(self):
         summary = run_inflation(ExperimentConfig.from_dict(tiny_doc()))
         assert set(summary["per_radius"]) == {8, 16}
+
+    def test_all_blown_up_gives_nan_medians_without_warning(self, tmp_path,
+                                                              capsys):
+        doc = tiny_doc(solver={"blowup_threshold": 1e-12})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_inflation(ExperimentConfig.from_dict(doc))
+        for entry in summary["per_radius"].values():
+            assert entry["blowups"] == entry["control_blowups"] == 3
+            for key in ("adversarial_median", "control_median",
+                        "remainder_median", "drift_final_median", "ratio"):
+                assert math.isnan(entry[key]), key
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inflate", "--config", str(p),
+                         "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "N=8: non-finite median" in out and "N=16: non-finite median" in out
+        header = (tmp_path / "o" / "inflation.csv").read_text().splitlines()[0]
+        assert header == "radius,adversarial_median,control_median,ratio,blowups"
+        doc = tiny_doc(kind="perturb", solver={"blowup_threshold": 1e-12})
+        doc["experiment"].update(epsilon=0.5, radii=[8])
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["perturb", "--config", str(p),
+                     "--out", str(tmp_path / "q")]) == 1
+        assert "N=8: non-finite median" in capsys.readouterr().out
+
+    def test_blown_up_trial_is_excluded_from_medians(self, monkeypatch):
+        def fake_trial(args):
+            cfg, radius, trial, _, _ = args
+            adv = {"status": "completed", "zero_mode_sup": 1.0 + trial,
+                   "u0_holder_eta": 1.0, "remainder_sup": 10.0 + trial,
+                   "drift_final": 5.0}
+            if trial == 0:
+                adv = {"status": "blewup", "zero_mode_sup": 1e300,
+                       "u0_holder_eta": 1.0}
+            ctl = {"status": "completed", "zero_mode_sup": 2.0,
+                   "u0_holder_eta": 1.0}
+            return {"trial": trial, "radius": radius, "seed": cfg.seed,
+                    "adversarial": adv, "control": ctl}
+
+        monkeypatch.setattr(experiments, "_inflation_trial", fake_trial)
+        summary = run_inflation(ExperimentConfig.from_dict(tiny_doc()))
+        for entry in summary["per_radius"].values():
+            assert entry["adversarial_median"] == 2.5     # trials 1 and 2 only
+            assert entry["remainder_median"] == 11.5
+            assert entry["drift_final_median"] == 5.0
+            assert entry["ratio"] == 1.25
+            assert entry["blowups"] == 1 and entry["control_blowups"] == 0
 
     def test_perturb_zero_base_matches_inflation(self):
         doc = tiny_doc(kind="perturb")

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from nlheat.field import (SpectralField, TorusGrid, analyze, analyze_values,
                           dealias_points, pointwise_product, synthesize,
                           synthesize_real)
+from nlheat.nonlinearity import preset
+from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
+from nlheat.solver import SolveConfig, solve
 
 
 def hermitian_field(grid, components=1, seed=0):
@@ -47,6 +51,50 @@ class TestGrid:
     def test_cubic_headroom_option(self):
         M = 9
         assert dealias_points(M, cubic=True) >= 2 * M
+
+    def test_d1_sizes_are_smallest_5_smooth(self):
+        def smooth5(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for M in range(3, 4098, 2):
+            for cubic in (False, True):
+                need = 2 * M if cubic else math.ceil(3 * M / 2)
+                G = dealias_points(M, cubic, dim=1)
+                assert G >= need and smooth5(G), (M, cubic, G)
+                assert not any(smooth5(n) for n in range(need, G)), (M, cubic)
+        assert [TorusGrid(1, 2 * N + 1).points_per_axis
+                for N in (64, 256, 1024)] == [200, 800, 3125]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_higher_dim_sizes_are_complex_fast_sizes(self, dim):
+        for M in range(3, 300, 2):
+            for cubic in (False, True):
+                need = 2 * M if cubic else math.ceil(3 * M / 2)
+                assert dealias_points(M, cubic, dim=dim) == sfft.next_fast_len(need)
+            assert TorusGrid(dim, M).points_per_axis == dealias_points(M, dim=dim)
+        assert TorusGrid(dim, 33).points_per_axis == 50
+        assert dealias_points(33, cubic=True, dim=dim) == 66     # 72 at d = 1
+
+    def test_grid_size_is_a_free_choice(self):
+        """The products are dealiased, so any G with headroom gives the same
+        solve up to rounding: the complex fast size 196 and the 5-smooth 200."""
+        spec = preset("antisym2", 1)
+        prof = VarianceProfile.white(64)
+        config = SolveConfig(t_end=50 * 0.5 / 64 ** 2, steps=50)
+        trajs = []
+        for G in (196, 200):
+            grid = TorusGrid(1, 129, G)
+            u0 = SpectralField.from_components(
+                [sample_real_gfs(prof, grid, stream(9, 0, c)) for c in range(2)])
+            trajs.append(solve(u0, spec, config))
+        a, b = trajs
+        assert a.status == b.status == "completed"
+        for x, y in ((a.zero_mode_path, b.zero_mode_path),
+                     (a.fields[-1].coeffs, b.fields[-1].coeffs)):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
     def test_k_squared_center(self):
         grid = TorusGrid(3, 5)

@@ -8,8 +8,9 @@ import pytest
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
-from nlheat.solver import (SolveConfig, evaluate_rhs_nonlinear,
-                           picard_nonlinearity, remainder_norms, solve)
+from nlheat.solver import (SolveConfig, _phi1, _phi2, evaluate_rhs_nonlinear,
+                           nonlinear_rhs_coeffs, picard_nonlinearity,
+                           remainder_norms, solve)
 
 
 def zero_spec(dim, dim_E):
@@ -92,6 +93,28 @@ class TestOrders:
 
 
 class TestConsistency:
+    def test_hoisted_invariants_are_bit_identical(self):
+        """h * phi1 and h * phi2 are computed once per solve; Python groups
+        h * phi1 * n0 as (h * phi1) * n0, so the path is bit-identical to
+        the per-step update formula below."""
+        grid = TorusGrid(1, 129)
+        u0 = random_real(grid, components=2, seed=12)
+        spec = preset_antisym2(1)
+        cfg = SolveConfig(20 * 0.5 / 64 ** 2, 20)
+        h = cfg.t_end / cfg.steps
+        z = -grid.k_squared * h
+        decay, phi1, phi2 = np.exp(z), _phi1(z), _phi2(z)
+        u, path = u0.coeffs.copy(), [u0.coeffs[:, grid.half_band].real]
+        for _ in range(cfg.steps):
+            n0, _ = nonlinear_rhs_coeffs(u, grid, spec)
+            stage = decay * u + h * phi1 * n0
+            n1, _ = nonlinear_rhs_coeffs(stage, grid, spec)
+            u = stage + h * phi2 * (n1 - n0)
+            path.append(u[:, grid.half_band].real)
+        traj = solve(u0, spec, cfg)
+        assert traj.status == "completed"
+        assert np.array_equal(traj.zero_mode_path, np.array(path))
+
     def test_zero_mode_ode(self):
         """Finite-difference derivative of the zero-mode path equals the
         recorded nonlinear RHS zero mode within 1% at mid-trajectory."""
