@@ -5,6 +5,13 @@ identity sum_l chi_l = 1 holds exactly by construction: chi_{-1} equals 1
 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) - chi_{-1}(x)
 is supported in the annulus B(8/3) \\ B(3/4).  L^p norms of the blocks are
 taken on a dense physical grid (default 4M points per axis).
+
+Every block norm goes through one core, ``_block_norms``.  A block whose
+coefficients miss the support of chi_l (read off the zero patterns of the
+coefficients and of the cached multipliers) is 0.0 and is not synthesised.
+The live blocks of as many (row, component) entries as fit in
+``BATCH_BYTES`` of real values, and at least one entry, share one
+synthesis, so that its values, ``abs`` and sup or mean stay in cache.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from scipy import fft as sfft
 
 from .field import SpectralField, TorusGrid, synthesize_coeffs
 
-#: largest real (batch, level, G^d) array one holder_norms_batch synthesis makes
-BATCH_BYTES = 256 * 2 ** 20
+#: largest real (block, G^d) array one synthesis makes, unless a single
+#: (row, component) entry's live blocks alone are larger
+BATCH_BYTES = 512 * 2 ** 10
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
@@ -94,6 +102,36 @@ def _dense_points(grid: TorusGrid) -> int:
     return sfft.next_fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
+def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
+                 partition: DyadicPartition | None,
+                 points: int | None) -> np.ndarray:
+    """|Delta_l f|_{L^p} of a (B, nc, M..) stack of real fields: (B, L, nc).
+
+    Skips and chunks as the module docstring says.
+    """
+    mult = (partition or DyadicPartition()).multipliers(grid)   # (L, M..)
+    B, nc = coeff_stack.shape[:2]
+    flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
+    live = (flat != 0).reshape(B * nc, -1) @ (mult != 0).reshape(len(mult), -1).T
+    if not np.isfinite(flat).all():     # inf * 0 is NaN: no block is zero
+        live[:] = True
+    entry, level = np.nonzero(live)                     # entry-major pairs
+    out = np.zeros((B * nc, len(mult)))
+    pts = points or _dense_points(grid)
+    cap = BATCH_BYTES // (8 * pts ** grid.dim)          # blocks per synthesis
+    lo = hi = 0
+    for end in [*np.cumsum(live.sum(axis=1)), math.inf]:
+        if end - lo > cap and hi > lo:                  # the next entry overflows
+            e, l = entry[lo:hi], level[lo:hi]
+            vals = synthesize_coeffs(flat[e] * mult[l], grid, pts).reshape(len(e), -1)
+            np.abs(vals, out=vals)
+            out[e, l] = vals.max(axis=-1) if math.isinf(p) else \
+                np.mean(vals ** p, axis=-1) ** (1.0 / p)
+            lo = hi
+        hi = end
+    return out.reshape(B, nc, -1).transpose(0, 2, 1)
+
+
 def block_lp_norms(field: SpectralField, p: float,
                    partition: DyadicPartition | None = None,
                    points: int | None = None) -> np.ndarray:
@@ -102,17 +140,8 @@ def block_lp_norms(field: SpectralField, p: float,
     L^p is with respect to the normalised measure; computed from values on
     the dense physical grid.
     """
-    partition = partition or DyadicPartition()
     field.require_real()
-    grid = field.grid
-    mult = partition.multipliers(grid)              # (L, M..)
-    blocks = field.coeffs[None] * mult[:, None]     # (L, nc, M..)
-    pts = points or _dense_points(grid)
-    vals = synthesize_coeffs(blocks, grid, pts).reshape(len(mult), field.components, -1)
-    flat = np.abs(vals, out=vals)
-    if math.isinf(p):
-        return flat.max(axis=-1)
-    return (np.mean(flat ** p, axis=-1)) ** (1.0 / p)
+    return _block_norms(field.coeffs[None], field.grid, p, partition, points)[0]
 
 
 def besov_norm(field: SpectralField, alpha: float, p: float, q: float,
@@ -146,29 +175,9 @@ def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
                        points: int | None = None) -> np.ndarray:
     """C^alpha norms of a batch of scalar coefficient cubes, shape (B,).
 
-    ``coeff_stack`` (B, M, ..., M) holds real fields; one synthesis covers
-    every (batch, level) pair of a chunk of at most ``BATCH_BYTES`` of values.
+    ``coeff_stack`` (B, M, ..., M) holds real fields.
     """
-    partition = partition or DyadicPartition()
     SpectralField(grid, coeff_stack).require_real()
-    mult = partition.multipliers(grid)                    # (L, M..)
-    pts = points or _dense_points(grid)
-    rows = max(1, BATCH_BYTES // (8 * len(mult) * pts ** grid.dim))
-    sup = []
-    for start in range(0, len(coeff_stack), rows):
-        blocks = coeff_stack[start:start + rows, None] * mult    # (b, L, M..)
-        vals = synthesize_coeffs(blocks, grid, pts).reshape(len(blocks), len(mult), -1)
-        sup.append(np.abs(vals, out=vals).max(axis=-1))
-    levels = np.arange(-1, mult.shape[0] - 1)
-    return (2.0 ** (alpha * levels)[None, :] * np.concatenate(sup)).max(axis=1)
-
-
-def block_table(field: SpectralField, alpha: float, p: float,
-                partition: DyadicPartition | None = None) -> list:
-    """Rows (level, weighted block norm) plus the C-style aggregate."""
-    norms = block_lp_norms(field, p, partition).sum(axis=1)
-    rows = []
-    for idx, n in enumerate(norms):
-        level = idx - 1
-        rows.append((level, 2.0 ** (alpha * level) * n))
-    return rows
+    sup = _block_norms(coeff_stack[:, None], grid, math.inf, partition, points)[..., 0]
+    levels = np.arange(-1, sup.shape[1] - 1)
+    return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)

@@ -53,14 +53,22 @@ def _emit(summary: dict, out_dir: Path) -> None:
                    default=str) + "\n")
 
 
-def _medians_finite(summary: dict) -> bool:
-    """Say at which radius a median is not finite; True when none is."""
-    bad = {N: e for N, e in summary["per_radius"].items()
-           if not all(math.isfinite(v) for k, v in e.items() if k.endswith("median"))}
-    for N, e in bad.items():
-        print(f"N={N}: non-finite median ({e['blowups']} adversarial and "
-              f"{e['control_blowups']} control trials blew up)")
-    return not bad
+def _trials_sound(summary: dict) -> bool:
+    """Say at which radius a median is not finite or more than half of the
+    trials of an arm blew up; True when neither happens at any radius."""
+    ok = True
+    for N, e in summary["per_radius"].items():
+        a, c = e["blowups"], e["control_blowups"]
+        if not all(math.isfinite(v) for k, v in e.items() if k.endswith("median")):
+            print(f"N={N}: non-finite median ({a} adversarial and "
+                  f"{c} control trials blew up)")
+            ok = False
+        n = sum(r["radius"] == N for r in summary["records"])
+        if 2 * max(a, c) > n:
+            print(f"N={N}: {a} of {n} adversarial and {c} of {n} control "
+                  f"trials blew up")
+            ok = False
+    return ok
 
 
 def cmd_sample(args) -> int:
@@ -120,7 +128,7 @@ def cmd_inflate(args) -> int:
                "blowups"], rows)
     increasing = all(b > a for a, b in zip(adv, adv[1:]))
     print(f"adversarial medians increasing: {increasing}")
-    return 0 if _medians_finite(summary) and increasing else 1
+    return 0 if _trials_sound(summary) and increasing else 1
 
 
 def cmd_perturb(args) -> int:
@@ -135,7 +143,7 @@ def cmd_perturb(args) -> int:
         print(f"N={N}: adversarial={e['adversarial_median']:.6g} "
               f"distance={e['distance_median']:.6g}")
     increasing = all(b > a for a, b in zip(adv, adv[1:]))
-    return 0 if _medians_finite(summary) and increasing else 1
+    return 0 if _trials_sound(summary) and increasing else 1
 
 
 def cmd_besov(args) -> int:
@@ -167,7 +175,7 @@ def cmd_remainder(args) -> int:
     ok = summary["remainder_spread"] < 1.5 and summary["drift_growing"]
     print(f"remainder spread={summary['remainder_spread']:.3g} "
           f"drift growing={summary['drift_growing']}")
-    return 0 if ok else 1
+    return 0 if _trials_sound(summary) and ok else 1
 
 
 def cmd_tables(args) -> int:

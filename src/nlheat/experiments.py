@@ -327,7 +327,7 @@ def run_remainder_tracking(cfg: ExperimentConfig) -> dict:
     res = run_inflation(cfg)
     rem = [res["per_radius"][N]["remainder_median"] for N in cfg.radii()]
     drift = [res["per_radius"][N]["drift_final_median"] for N in cfg.radii()]
-    res["remainder_spread"] = max(rem) / min(rem)
+    res["remainder_spread"] = float(np.max(rem) / np.min(rem))   # NaN if any is
     res["drift_growing"] = all(b > a for a, b in zip(drift, drift[1:]))
     return res
 

@@ -94,16 +94,6 @@ class NonlinearitySpec:
         """B_i(T^a, T^b) as a vector in E (0-based indices)."""
         return self.B[i, :, a, b].copy()
 
-    def permuted(self, perm) -> "NonlinearitySpec":
-        """Relabel the basis of E by the permutation ``perm`` (new <- old)."""
-        perm = np.asarray(perm)
-        B = self.B[:, perm][:, :, perm][:, :, :, perm]
-        return NonlinearitySpec(
-            self.dim, self.dim_E, B,
-            self.p0[perm], self.p1[perm][:, perm],
-            self.p2[perm][:, perm][:, :, perm],
-            self.p3[perm][:, perm][:, :, perm][:, :, :, perm])
-
 
 def _monomials(tensor: np.ndarray, degree: int) -> tuple:
     """(columns, *slots) over the monomials u_a u_b ..., a <= b <= ..., with a

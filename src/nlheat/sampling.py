@@ -180,18 +180,7 @@ def build_adversarial_pair(spec: GfsSpec, a: int, b: int, x_rngs, y_rngs):
     return X, SpectralField.from_components(y_parts)
 
 
-def sample_control_pair(spec: GfsSpec, x_rngs, y_rngs):
-    """Independent pair (X, Y) with identical laws (control arm)."""
-    return sample_E_valued(spec, x_rngs), sample_E_valued(spec, y_rngs)
-
-
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic counter-based RNG stream derived from the master seed."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def component_streams(master_seed: int, trial: int, count: int,
-                      role: int = 0) -> list:
-    """Per-component streams for one trial; ``role`` separates X from Y."""
-    return [stream(master_seed, trial, role * count + c) for c in range(count)]

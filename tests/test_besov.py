@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from nlheat.besov import (DyadicPartition, besov_norm, block_lp_norms,
-                          block_table, holder_norm, holder_norms_batch,
-                          lp_block)
+                          holder_norm, holder_norms_batch, lp_block)
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -136,13 +135,6 @@ class TestNorms:
         f = random_field(TorusGrid(1, 9))
         with pytest.raises(ValueError):
             besov_norm(f, 0.0, 0.5, 2.0)
-
-    def test_block_table_rows(self):
-        f = random_field(TorusGrid(1, 17), 6)
-        rows = block_table(f, -0.5, math.inf)
-        assert rows[0][0] == -1
-        norms = block_lp_norms(f, math.inf).sum(axis=1)
-        assert abs(rows[2][1] - 2.0 ** (-0.5 * rows[2][0]) * norms[2]) < 1e-12
 
 
 class TestSmoothing:

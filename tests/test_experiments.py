@@ -12,7 +12,8 @@ from nlheat import experiments
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
                                 _inflation_trial, _trial_grid, run_inflation,
-                                run_perturbed_inflation, run_tables)
+                                run_perturbed_inflation, run_remainder_tracking,
+                                run_tables)
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -27,6 +28,26 @@ def tiny_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+def fake_trials(blown):
+    """A stand-in for ``_inflation_trial``: at radius N the first blown[N] =
+    (a, c) trials of the adversarial and control arms blow up; the others
+    complete, with medians that grow with N and a flat remainder."""
+    def arm(blew, sup, **done):
+        if blew:
+            return {"status": "blewup", "zero_mode_sup": 1e300, "u0_holder_eta": 1.0}
+        return {"status": "completed", "zero_mode_sup": sup,
+                "u0_holder_eta": 1.0, **done}
+
+    def fake(args):
+        cfg, radius, trial, _, _ = args
+        a, c = blown.get(radius, (0, 0))
+        return {"trial": trial, "radius": radius, "seed": cfg.seed,
+                "adversarial": arm(trial < a, radius + trial, remainder_sup=10.0,
+                                   drift_final=float(radius)),
+                "control": arm(trial < c, 1.0)}
+    return fake
 
 
 class TestConfig:
@@ -184,6 +205,43 @@ class TestInflation:
             assert entry["drift_final_median"] == 5.0
             assert entry["ratio"] == 1.25
             assert entry["blowups"] == 1 and entry["control_blowups"] == 0
+
+    @pytest.mark.parametrize("kind", ["inflate", "perturb", "remainder"])
+    def test_blowup_limit_fails_the_verdict(self, monkeypatch, tmp_path, capsys,
+                                            kind):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
+
+        def run(blown):
+            monkeypatch.setattr(experiments, "_inflation_trial", fake_trials(blown))
+            code = main([kind, "--config", str(p), "--out", str(tmp_path / "o")])
+            return code, capsys.readouterr().out
+
+        code, out = run({16: (1, 1)})       # 1 of 3 per arm: the verdict stands
+        assert code == 0 and "trials blew up" not in out
+        code, out = run({16: (2, 0)})
+        assert code == 1 and out.count("trials blew up") == 1
+        assert "N=16: 2 of 3 adversarial and 0 of 3 control trials blew up" in out
+        code, out = run({8: (0, 2)})
+        assert code == 1 and out.count("trials blew up") == 1
+        assert "N=8: 0 of 3 adversarial and 2 of 3 control trials blew up" in out
+
+    @pytest.mark.parametrize("radius", [8, 16])
+    def test_remainder_spread_is_nan_when_a_median_is(self, monkeypatch,
+                                                       tmp_path, capsys, radius):
+        monkeypatch.setattr(experiments, "_inflation_trial",
+                            fake_trials({radius: (3, 0)}))
+        doc = tiny_doc(kind="remainder")
+        res = run_remainder_tracking(ExperimentConfig.from_dict(doc))
+        assert math.isnan(res["per_radius"][radius]["remainder_median"])
+        assert math.isnan(res["remainder_spread"])
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["remainder", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert f"N={radius}: non-finite median (3 adversarial and 0 control" in out
+        assert f"N={radius}: 3 of 3 adversarial and 0 of 3 control trials" in out
 
     def test_perturb_zero_base_matches_inflation(self):
         doc = tiny_doc(kind="perturb")

@@ -5,8 +5,7 @@ import pytest
 
 from nlheat.field import TorusGrid
 from nlheat.sampling import (GfsSpec, VarianceProfile, build_adversarial_pair,
-                             component_streams, half_space_mask,
-                             sample_E_valued, sample_control_pair,
+                             half_space_mask, sample_E_valued,
                              sample_real_gfs, stream)
 
 
@@ -106,8 +105,9 @@ class TestSampler:
         assert not np.array_equal(a, c)
 
     def test_component_streams_disjoint(self):
-        xs = component_streams(5, 0, 2, role=0)
-        ys = component_streams(5, 0, 2, role=1)
+        # X and Y of one trial draw from streams (trial, c) and (trial, nc + c)
+        xs = [stream(5, 0, c) for c in range(2)]
+        ys = [stream(5, 0, 2 + c) for c in range(2)]
         a = xs[0].standard_normal(4)
         b = ys[0].standard_normal(4)
         assert not np.array_equal(a, b)
@@ -142,9 +142,8 @@ class TestPairs:
 
     def test_control_pair_independent(self):
         spec = self.make_spec()
-        X, Y = sample_control_pair(spec,
-                                   [stream(9, 1, c) for c in range(2)],
-                                   [stream(9, 1, 2 + c) for c in range(2)])
+        X = sample_E_valued(spec, [stream(9, 1, c) for c in range(2)])
+        Y = sample_E_valued(spec, [stream(9, 1, 2 + c) for c in range(2)])
         assert not np.array_equal(X.coeffs, Y.coeffs)
 
     def test_cutoff_exceeding_band_rejected(self):

@@ -12,6 +12,8 @@ from nlheat.solver import (SolveConfig, _phi1, _phi2, evaluate_rhs_nonlinear,
                            nonlinear_rhs_coeffs, picard_nonlinearity,
                            remainder_norms, solve)
 
+from spec_helpers import permuted
+
 
 def zero_spec(dim, dim_E):
     return NonlinearitySpec.from_parts(dim, dim_E)
@@ -140,7 +142,7 @@ class TestConsistency:
         spec = preset_antisym2(1)
         perm = np.array([1, 0])
         cfg = SolveConfig(0.05, 50)
-        a = solve(SpectralField(grid, u0.coeffs[perm]), spec.permuted(perm), cfg)
+        a = solve(SpectralField(grid, u0.coeffs[perm]), permuted(spec, perm), cfg)
         b = solve(u0, spec, cfg)
         assert np.max(np.abs(a.fields[-1].coeffs - b.fields[-1].coeffs[perm])) < 1e-12
 
