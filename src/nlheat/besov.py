@@ -3,8 +3,9 @@
 The dyadic partition is built from a smooth step so that the telescoping
 identity sum_l chi_l = 1 holds exactly by construction: chi_{-1} equals 1
 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) - chi_{-1}(x)
-is supported in the annulus B(8/3) \\ B(3/4).  L^p norms of the blocks are
-taken on a dense physical grid (default 4M points per axis).
+is supported in the annulus B(8/3) \\ B(3/4).  Every norm uses this one
+partition.  L^p norms of the blocks are taken on a dense physical grid (4M
+points per axis; ``block_lp_norms`` takes a finer one as a reference).
 
 Every block norm goes through one core, ``_block_norms``.  A block whose
 coefficients miss the support of chi_l (read off the zero patterns of the
@@ -75,10 +76,11 @@ class DyadicPartition:
         return self.chi(np.asarray(r, dtype=float) / 2.0 ** level)
 
     def max_level(self, radius: float) -> int:
-        """Largest l with chi_l not identically zero inside |k| <= radius."""
+        """Largest l with chi_l not identically zero inside |k| <= radius:
+        inner 2^l < radius <= inner 2^(l+1), as chi_l = 0 on B(inner 2^l)."""
         if radius <= self.inner:
             return -1
-        return int(math.ceil(math.log2(radius / self.inner)))
+        return int(math.ceil(math.log2(radius / self.inner))) - 1
 
     @lru_cache(maxsize=32)
     def multipliers(self, grid: TorusGrid) -> np.ndarray:
@@ -103,13 +105,12 @@ def _dense_points(grid: TorusGrid) -> int:
 
 
 def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
-                 partition: DyadicPartition | None,
-                 points: int | None) -> np.ndarray:
+                 points: int | None = None) -> np.ndarray:
     """|Delta_l f|_{L^p} of a (B, nc, M..) stack of real fields: (B, L, nc).
 
     Skips and chunks as the module docstring says.
     """
-    mult = (partition or DyadicPartition()).multipliers(grid)   # (L, M..)
+    mult = DyadicPartition().multipliers(grid)                  # (L, M..)
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
     live = (flat != 0).reshape(B * nc, -1) @ (mult != 0).reshape(len(mult), -1).T
@@ -133,27 +134,24 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
 
 
 def block_lp_norms(field: SpectralField, p: float,
-                   partition: DyadicPartition | None = None,
                    points: int | None = None) -> np.ndarray:
     """|Delta_l f|_{L^p} for all levels, per component: shape (L+2, nc).
 
     L^p is with respect to the normalised measure; computed from values on
-    the dense physical grid.
+    the dense physical grid, or on ``points`` per axis if given.
     """
     field.require_real()
-    return _block_norms(field.coeffs[None], field.grid, p, partition, points)[0]
+    return _block_norms(field.coeffs[None], field.grid, p, points)[0]
 
 
-def besov_norm(field: SpectralField, alpha: float, p: float, q: float,
-               partition: DyadicPartition | None = None,
-               points: int | None = None) -> float:
+def besov_norm(field: SpectralField, alpha: float, p: float, q: float) -> float:
     """Besov norm B^alpha_{p,q}; vector fields use the component sum.
 
     The dyadic sum is finite because the field is band-limited.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    norms = block_lp_norms(field, p, partition, points)   # (L, nc)
+    norms = block_lp_norms(field, p)                      # (L, nc)
     levels = np.arange(-1, norms.shape[0] - 1)
     weighted = 2.0 ** (alpha * levels)[:, None] * norms
     if math.isinf(q):
@@ -163,21 +161,18 @@ def besov_norm(field: SpectralField, alpha: float, p: float, q: float,
     return float(per_comp.sum())
 
 
-def holder_norm(field: SpectralField, alpha: float,
-                partition: DyadicPartition | None = None,
-                points: int | None = None) -> float:
+def holder_norm(field: SpectralField, alpha: float) -> float:
     """Hoelder-Besov norm C^alpha = B^alpha_{inf,inf}."""
-    return besov_norm(field, alpha, math.inf, math.inf, partition, points)
+    return besov_norm(field, alpha, math.inf, math.inf)
 
 
-def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
-                       partition: DyadicPartition | None = None,
-                       points: int | None = None) -> np.ndarray:
+def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid,
+                       alpha: float) -> np.ndarray:
     """C^alpha norms of a batch of scalar coefficient cubes, shape (B,).
 
     ``coeff_stack`` (B, M, ..., M) holds real fields.
     """
     SpectralField(grid, coeff_stack).require_real()
-    sup = _block_norms(coeff_stack[:, None], grid, math.inf, partition, points)[..., 0]
+    sup = _block_norms(coeff_stack[:, None], grid, math.inf)[..., 0]
     levels = np.arange(-1, sup.shape[1] - 1)
     return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)

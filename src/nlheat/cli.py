@@ -71,14 +71,19 @@ def _trials_sound(summary: dict) -> bool:
     return ok
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
+def _first_data(cfg: ExperimentConfig):
+    """Nonlinearity, first radius and trial 0's X at that radius."""
     nl = cfg.nonlinearity_spec()
     radius = cfg.radii()[0]
     grid = _trial_grid(cfg, radius, nl)
     spec = GfsSpec.uniform(grid, cfg.profile_for(radius), nl.dim_E)
-    rngs = [stream(cfg.seed, 0, c) for c in range(nl.dim_E)]
-    X = sample_E_valued(spec, rngs)
+    return nl, radius, sample_E_valued(
+        spec, [stream(cfg.seed, 0, c) for c in range(nl.dim_E)])
+
+
+def cmd_sample(args) -> int:
+    cfg = _load_config(args)
+    nl, radius, X = _first_data(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "sample.gfsf", X)
@@ -89,12 +94,7 @@ def cmd_sample(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    nl = cfg.nonlinearity_spec()
-    radius = cfg.radii()[0]
-    grid = _trial_grid(cfg, radius, nl)
-    spec = GfsSpec.uniform(grid, cfg.profile_for(radius), nl.dim_E)
-    rngs = [stream(cfg.seed, 0, c) for c in range(nl.dim_E)]
-    u0 = sample_E_valued(spec, rngs)
+    nl, radius, u0 = _first_data(cfg)
     traj = solve(u0, nl, cfg.solve_config(radius))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,12 +188,12 @@ def cmd_tables(args) -> int:
 
 def cmd_identities(args) -> int:
     seed = args.seed if args.seed is not None else 7
-    results = run_identity_suite(seed=seed)
     worst = 0
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{r.name}: defect={r.defect:.3e} tol={r.tol:.0e} [{status}]")
-        worst |= not r.passed
+    for dim in (1, 2, 3):
+        for r in run_identity_suite(seed=seed, dim=dim):
+            print(f"d={dim} {r.name}: defect={r.defect:.3e} tol={r.tol:.0e} "
+                  f"[{'pass' if r.passed else 'FAIL'}]")
+            worst |= not r.passed
     return 1 if worst else 0
 
 

@@ -23,6 +23,13 @@ from .besov import holder_norms_batch
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .sampling import VarianceProfile, sample_real_gfs, stream
 
+#: largest max/min spread across radii of a passing envelope (integral) ratio
+SPREAD_MAX, INTEGRAL_SPREAD_MAX = 2.0, 3.0
+#: (a, b, p) of the weighted drift integrals that ``verify_It_bounds`` checks
+INTEGRAL_EXPONENTS = ((-0.5, -0.5, 1), (0.0, -0.75, 3))
+#: time grid of the moment experiments: 1e-5 to 1, 20 points per decade
+MOMENT_T_MIN, MOMENT_PER_DECADE = 1e-5, 20
+
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -137,13 +144,6 @@ def drift_scalar(profile: VarianceProfile, dim: int, t,
     return out if np.ndim(t) else float(out[0])
 
 
-def drift_I(profile: VarianceProfile, dim: int, direction: np.ndarray,
-            t) -> np.ndarray:
-    """Drift vector I_t = direction * integral_0^t E Z_s ds (no quadrature)."""
-    scale = drift_scalar(profile, dim, t)
-    return np.multiply.outer(np.asarray(scale), np.asarray(direction, float))
-
-
 def compute_Zt(field: SpectralField, t) -> np.ndarray | float:
     """Realised Z_t from the coefficients of a real scalar field."""
     if field.components != 1:
@@ -202,15 +202,13 @@ def _spread(values) -> float:
 
 
 def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
-                      upper_spread_max: float = 2.0,
-                      lower_spread_max: float = 2.0,
                       log_corrected: bool = True) -> BoundReport:
     """Envelope check for E Z_t.
 
     Upper: E Z_t / (N^2 min t^{-1}) bounded across the grid.  Lower (for
     the log-corrected profile): E Z_t * t * |log t| * log|log t| bounded
     away from zero on the admissible region t > N^{-2}.  For a pure power
-    profile the lower envelope is just t^{-1}.
+    profile the lower envelope is just t^{-1}.  Passes on ``SPREAD_MAX``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     upper, lower = {}, {}
@@ -231,7 +229,7 @@ def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
         else:
             lower[N] = None
     us, ls = _spread(upper.values()), _spread(lower.values())
-    passed = us <= upper_spread_max and ls <= lower_spread_max \
+    passed = us <= SPREAD_MAX and ls <= SPREAD_MAX \
         and all(v is None or v > 0 for v in lower.values())
     return BoundReport(list(radii), upper, lower, us, ls, passed)
 
@@ -261,23 +259,21 @@ def weighted_drift_integral(profile: VarianceProfile, dim: int, N: int,
     return float(np.sum(w * (t - s) ** a * mag ** p * s ** b))
 
 
-def verify_It_bounds(profile_for_N, dim: int, direction, radii, t_grid,
-                     upper_spread_max: float = 2.0,
-                     integral_spread_max: float = 3.0,
-                     exponents=((-0.5, -0.5, 1), (0.0, -0.75, 3)),
-                     nodes: int = 1000) -> BoundReport:
+def verify_It_bounds(profile_for_N, dim: int, direction, radii,
+                     t_grid) -> BoundReport:
     """Envelope check for |I_t| plus the weighted-integral bound.
 
     Upper: |I_t| / [(N^2 t) min 1 + log((N^2 t) max 1)].  Lower: on
     t > N^{-2}, |I_t| against log log log N - log log log(1/t).  The
     integral check compares integral (t-s)^a |I_s|^p s^b ds with
-    t^{a+b+1} (log N)^p at t = max(t_grid) for each listed (a, b, p).
+    t^{a+b+1} (log N)^p at t = max(t_grid) for each ``INTEGRAL_EXPONENTS``
+    (a, b, p).  Passes on ``SPREAD_MAX`` and ``INTEGRAL_SPREAD_MAX``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     direction = np.asarray(direction, dtype=float)
     mag_dir = np.linalg.norm(direction)
     upper, lower = {}, {}
-    integral_ratio = {abp: {} for abp in exponents}
+    integral_ratio = {abp: {} for abp in INTEGRAL_EXPONENTS}
     for N in radii:
         prof = profile_for_N(N)
         mag = np.abs(drift_scalar(prof, dim, t_grid, radius=N)) * mag_dir
@@ -297,16 +293,16 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii, t_grid,
                 low_vals.append(mag[idx] / env)
         lower[N] = min(low_vals) if low_vals else None
         t_top = float(t_grid.max())
-        for (a, b, p) in exponents:
+        for (a, b, p) in INTEGRAL_EXPONENTS:
             val = weighted_drift_integral(prof, dim, N, direction, t_top,
-                                          a, b, p, nodes)
+                                          a, b, p)
             integral_ratio[(a, b, p)][N] = \
                 val / (t_top ** (a + b + 1.0) * math.log(N) ** p)
     us = _spread(upper.values())
     ls = _spread(lower.values())
-    int_ok = all(_spread(d.values()) <= integral_spread_max
+    int_ok = all(_spread(d.values()) <= INTEGRAL_SPREAD_MAX
                  for d in integral_ratio.values())
-    passed = us <= upper_spread_max and int_ok
+    passed = us <= SPREAD_MAX and int_ok
     report = BoundReport(list(radii), upper, lower, us, ls, passed)
     report.integral_ratio = integral_ratio
     return report
@@ -316,8 +312,7 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii, t_grid,
 
 def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
                            delta: float, beta: float, t_grid,
-                           remove_mean: bool = True,
-                           partition=None) -> float:
+                           remove_mean: bool = True) -> float:
     """sup over the grid of t^delta |pi_0(P_t X d_axis P_t Y)|_{C^beta}.
 
     With ``remove_mean`` False the zero mode is kept (only meaningful for
@@ -333,7 +328,7 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     if remove_mean:
         centre = (slice(None),) + (grid.half_band,) * grid.dim
         coeffs[centre] = 0.0
-    norms = holder_norms_batch(coeffs, grid, beta, partition)
+    norms = holder_norms_batch(coeffs, grid, beta)
     return float(np.max(t_grid ** delta * norms))
 
 
@@ -375,9 +370,7 @@ def _pair_fields(profile, grid, kind: str, master_seed: int, trial: int):
 def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
                                    params: ParameterSet, axis: int,
                                    trials: int, radii, master_seed: int,
-                                   remove_mean: bool = True,
-                                   t_min: float = 1e-5,
-                                   per_decade: int = 20) -> TrendReport:
+                                   remove_mean: bool = True) -> TrendReport:
     """Trend of sup_t t^delta |pi_0(P_t X d_i P_t Y)|_{C^beta} across N.
 
     Per trial, one pair is sampled at the largest cutoff and the smaller
@@ -386,7 +379,7 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
     cancelling most of the Monte Carlo noise in the trend.
     """
     params.check_dim(dim)
-    t_grid = geometric_grid(1.0, t_min, per_decade)
+    t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
     radii = sorted(int(N) for N in radii)
     top = radii[-1]
     grid = TorusGrid(dim, 2 * top + 1)
@@ -402,15 +395,13 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
 
 
 def moment_experiment_Z(profile_for_N, dim: int, params: ParameterSet,
-                        trials: int, radii, master_seed: int,
-                        t_min: float = 1e-5,
-                        per_decade: int = 20) -> TrendReport:
+                        trials: int, radii, master_seed: int) -> TrendReport:
     """Trend of sup_t t^delta (Z_t - E Z_t) across N (expected flat).
 
     Coupled across N by band truncation of one sample, as above.
     """
     params.check_dim(dim)
-    t_grid = geometric_grid(1.0, t_min, per_decade)
+    t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
     radii = sorted(int(N) for N in radii)
     top = radii[-1]
     grid = TorusGrid(dim, 2 * top + 1)

@@ -40,10 +40,10 @@ def _check_keys(section: dict, allowed, where: str):
 
 
 _PROFILE_KEYS = ("kind", "gamma", "log_theta", "loglog_eta", "k0", "floor")
-_SOLVER_KEYS = ("scheme", "step_factor", "blowup_threshold", "snapshots")
+_SOLVER_KEYS = ("step_factor", "blowup_threshold", "snapshots")
 _EXPERIMENT_KEYS = ("radii", "trials", "log_exponent", "epsilon", "base",
                     "reference_radius", "q", "alpha", "t_min", "t_max",
-                    "per_decade", "pair_kind", "axis", "remove_mean")
+                    "per_decade")
 _PARAM_KEYS = ("delta", "beta", "eta")
 _TOP_KEYS = ("kind", "seed", "out", "threads", "grid", "profile",
              "nonlinearity", "pair", "solver", "experiment", "params")
@@ -153,7 +153,6 @@ class ExperimentConfig:
         snaps = tuple(np.geomspace(T / 64.0, T, nsnap))
         return SolveConfig(
             t_end=T, steps=steps,
-            scheme=self.solver.get("scheme", "etd-rk2"),
             blowup_threshold=float(self.solver.get("blowup_threshold", 1e8)),
             snapshot_times=snaps)
 
@@ -188,7 +187,6 @@ def _inflation_trial(args):
     params = cfg.parameter_set()
     solve_cfg = cfg.solve_config(radius)
     direction = drift_direction(nl, a, b)
-    partition = DyadicPartition()
 
     def drift(t):
         # quadratic in the Gaussian part, which the data scale by epsilon
@@ -203,10 +201,10 @@ def _inflation_trial(args):
         rec = {
             "status": traj.status,
             "zero_mode_sup": traj.zero_mode_sup(),
-            "u0_holder_eta": holder_norm(u0, params.eta, partition),
+            "u0_holder_eta": holder_norm(u0, params.eta),
         }
         if arm == "adversarial" and traj.status == "completed":
-            norms = remainder_norms(traj, u0, drift, params.beta_hat, partition)
+            norms = remainder_norms(traj, u0, drift, params.beta_hat)
             rec["remainder_sup"] = float(np.max(norms))
             rec["drift_final"] = float(np.linalg.norm(drift(solve_cfg.t_end)))
         out[arm] = rec

@@ -7,9 +7,10 @@ one complex array per vector component.  All operators here act mode-wise
 except the pointwise product, which goes through an oversampled physical
 grid (2/3-rule dealiasing) so that products are exact on the retained band.
 
-Real fields have Hermitian coefficients, f_{-k} = conj(f_k), so the
+Fields are real, with Hermitian coefficients f_{-k} = conj(f_k), so the
 transforms are real-to-complex: synthesis reads only the k_d >= 0 half of
 the cube, and analysis rebuilds the k_d < 0 half as its conjugate mirror.
+``synthesize_real``, ``analyze_values`` and the product reject non-real input.
 """
 
 from __future__ import annotations
@@ -260,15 +261,6 @@ def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                        norm="forward")
 
 
-def synthesize(field: SpectralField, points: int | None = None) -> np.ndarray:
-    """Complex values of any field on the G^d grid, as two real syntheses."""
-    c = field.coeffs
-    mirror = np.conj(np.flip(c, axis=tuple(range(1, c.ndim))))
-    re = synthesize_coeffs(0.5 * (c + mirror), field.grid, points)
-    im = synthesize_coeffs(-0.5j * (c - mirror), field.grid, points)
-    return re + 1j * im
-
-
 def synthesize_real(field: SpectralField, points: int | None = None,
                     tol: float = 1e-10) -> np.ndarray:
     """Real values of the field; raises ValueError unless it is real."""
@@ -277,11 +269,8 @@ def synthesize_real(field: SpectralField, points: int | None = None,
 
 
 def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Forward transform; exact inverse of synthesis on band-limited data.
-
-    Real values give exactly Hermitian coefficients; complex values are
-    analysed as their real and imaginary parts.
-    """
+    """Forward transform of real values; exact inverse of synthesis on
+    band-limited data, with exactly Hermitian coefficients."""
     lead = values.ndim - grid.dim
     G = values.shape[-1]
     if values.shape[lead:] != (G,) * grid.dim:
@@ -289,7 +278,7 @@ def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if G < grid.modes_per_axis:
         raise ValueError("physical grid coarser than the wavenumber band")
     if np.iscomplexobj(values):
-        return analyze_values(values.real, grid) + 1j * analyze_values(values.imag, grid)
+        raise ValueError("physical values must be real")
     d, K = grid.dim, grid.half_band
     rev = (slice(None, None, -1),) * (d - 1)    # k -> -k on the leading axes
     if d == 1:
@@ -317,7 +306,7 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased componentwise product of two band-limited fields.
 
     Exact Fourier coefficients on the retained band; requires quadratic
-    oversampling headroom on the shared grid.
+    oversampling headroom on the shared grid and real fields.
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
@@ -327,5 +316,5 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
         raise ValueError(
             "insufficient oversampling for a dealiased product: need "
             f"G >= ceil(3M/2), have G = {f.grid.points_per_axis}")
-    vals = synthesize(f) * synthesize(g)
+    vals = synthesize_real(f) * synthesize_real(g)
     return SpectralField(f.grid, analyze_values(vals, f.grid))

@@ -10,7 +10,7 @@ the phase rotation of a component of X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class VarianceProfile:
         ``power``     sigma^2 = |k|^gamma
         ``powerlog``  sigma^2 = |k|^gamma (log|k|)^theta (loglog|k|)^eta
                       for |k| >= k0, the floor constant below
-        ``table``     explicit values per integer |k|^2 (diagnostics only)
 
     The zero mode always uses the floor constant.  ``powerlog`` keeps the
     floor up to k0 so that log log |k| stays positive on the tail.
@@ -39,10 +38,9 @@ class VarianceProfile:
     loglog_eta: float = 0.0
     k0: float = 3.0
     floor: float = 1.0
-    table: tuple = dc_field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in ("white", "power", "powerlog", "table"):
+        if self.kind not in ("white", "power", "powerlog"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
@@ -72,12 +70,6 @@ class VarianceProfile:
         inside = r2 <= self.cutoff ** 2 + 1e-9
         if self.kind == "white":
             out[inside] = 1.0
-            return out
-        if self.kind == "table":
-            vals = np.asarray(self.table, dtype=float)
-            idx = np.rint(r2).astype(int)
-            ok = inside & (idx < len(vals))
-            out[ok] = vals[idx[ok]]
             return out
         r = np.sqrt(r2)
         small = inside & (r < max(self.k0, 1.0))

@@ -1,26 +1,24 @@
 """Mild-solution integrator for the nonlinear heat equation.
 
-The stepping is in integrating-factor form: the heat semigroup is applied
-exactly in Fourier space and only the nonlinearity N(u) = B(u, Du) + P(u)
-is treated explicitly, either with exponential Euler
+The heat semigroup is applied exactly in Fourier space and only the
+nonlinearity N(u) = B(u, Du) + P(u) is treated explicitly, by the two-stage
+ETD-RK2 scheme of Cox & Matthews (2002) at z = -|k|^2 h:
 
-    u_{t+h} = P_h u_t + h P_h N(u_t)
+    a = e^z u_t + h phi1(z) N(u_t),   u_{t+h} = a + h phi2(z) (N(a) - N(u_t))
 
-or with the two-stage ETD-RK2 scheme built from the phi functions
-phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2 at z = -|k|^2 h.
+with phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2.  The stage a is
+an exponential-Euler step, and h phi2 (N(a) - N(u_t)) estimates its error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .besov import holder_norm
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .nonlinearity import NonlinearitySpec
-
-SCHEMES = ("etd-rk2", "exponential-euler")
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class SolveConfig:
 
     t_end: float
     steps: int
-    scheme: str = "etd-rk2"
     blowup_threshold: float = 1e8
     snapshot_times: tuple = ()
 
@@ -38,8 +35,6 @@ class SolveConfig:
             raise ValueError("t_end must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.blowup_threshold <= 0:
             raise ValueError("blowup_threshold must be positive")
 
@@ -88,12 +83,6 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                 factors = factors * u[slot]
         out += cols @ factors
     return analyze_values(out.reshape(u_phys.shape), grid), sup_u
-
-
-def evaluate_rhs_nonlinear(u: SpectralField, spec: NonlinearitySpec) -> SpectralField:
-    """B(u, Du) + P(u) as a spectral field."""
-    coeffs, _ = nonlinear_rhs_coeffs(u.coeffs, u.grid, spec)
-    return SpectralField(u.grid, coeffs)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -154,12 +143,9 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
         if not np.isfinite(sup_u) or sup_u > config.blowup_threshold:
             status, blowup_time = "blewup", (step - 1) * h
             break
-        if config.scheme == "exponential-euler":
-            u = decay * (u + h * n0)
-        else:
-            stage = decay * u + hphi1 * n0
-            n1, _ = nonlinear_rhs_coeffs(stage, grid, spec)
-            u = stage + hphi2 * (n1 - n0)
+        stage = decay * u + hphi1 * n0
+        n1, _ = nonlinear_rhs_coeffs(stage, grid, spec)
+        u = stage + hphi2 * (n1 - n0)
         if not np.all(np.isfinite(u)):
             status, blowup_time = "blewup", step * h
             break
@@ -169,15 +155,6 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
 
     return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath),
                       status, blowup_time)
-
-
-def picard_nonlinearity(u0: SpectralField, t: float,
-                        spec: NonlinearitySpec) -> SpectralField:
-    """Quadratic first-iterate term B(P_t u0, D P_t u0) (P excluded)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    quad = NonlinearitySpec.from_parts(spec.dim, spec.dim_E, B=spec.B)
-    return evaluate_rhs_nonlinear(u0.heat(t), quad)
 
 
 def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:
@@ -196,7 +173,7 @@ def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:
 
 
 def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
-                    alpha: float, partition=None) -> np.ndarray:
+                    alpha: float) -> np.ndarray:
     """Hoelder C^alpha norms of the remainder at the snapshot times."""
-    return np.asarray([holder_norm(r, alpha, partition)
+    return np.asarray([holder_norm(r, alpha)
                        for r in remainder_fields(trajectory, u0, drift)])

@@ -65,6 +65,22 @@ class TestBlocks:
         total = sum(lp_block(f, l, part).coeffs for l in range(-1, top + 1))
         assert np.max(np.abs(total - f.coeffs)) < 1e-10
 
+    @pytest.mark.parametrize("dim, largest", [(1, 199), (2, 71), (3, 31)])
+    def test_every_level_meets_the_cube(self, dim, largest):
+        part = DyadicPartition()
+        for M in range(3, largest + 1, 2):
+            grid = TorusGrid(dim, M)
+            r = grid.half_band * math.sqrt(dim)
+            top = part.max_level(r)
+            assert 0.75 * 2.0 ** top < r <= 0.75 * 2.0 ** (top + 1)
+            mult = part.multipliers(grid)
+            assert len(mult) == top + 2
+            # chi_top = 1 - chi_low(r / 2^top) rounds to 0 when the corner
+            # r lies within about 2% above 0.75 * 2^top (d=3, M=15: 12.12)
+            live = mult.reshape(len(mult), -1).any(axis=1)
+            assert live[:-1].all(), M
+            assert live[-1] or r < 1.021 * 0.75 * 2.0 ** top, M
+
     def test_single_mode_multiplier(self):
         grid = TorusGrid(1, 17)
         K = grid.half_band
@@ -98,7 +114,7 @@ class TestNorms:
         weights = [(2.0 ** (alpha * l) * 1.2 * part.chi_level(l, 5.0)) ** q
                    for l in range(-1, top + 1)]
         expect = sum(weights) ** (1.0 / q)
-        got = besov_norm(f, alpha, math.inf, q, part)
+        got = besov_norm(f, alpha, math.inf, q)
         assert abs(got - expect) < 1e-10 * expect
 
     def test_homogeneity_and_triangle(self):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
-                                decorrelated_statistic, drift_I, drift_scalar,
+                                decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
                                 trend_slope, weighted_drift_integral)
@@ -119,9 +119,9 @@ class TestDrift:
 
     def test_one_mode_limit(self):
         # single shell |n| = 1, sigma^2 = 1: I_infty = direction * 1 in d = 1
-        prof = VarianceProfile("table", 1, table=(0.0, 1.0))
+        prof = VarianceProfile.white(1)
         direction = np.array([3.0, -1.0])
-        I = drift_I(prof, 1, direction, 50.0)
+        I = drift_scalar(prof, 1, 50.0) * direction
         assert np.max(np.abs(I - direction)) < 1e-12
 
     def test_derivative_is_expected_Z(self):

@@ -3,12 +3,13 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from nlheat import experiments
+from nlheat import cli, experiments
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
                                 _inflation_trial, _trial_grid, run_inflation,
@@ -86,6 +87,21 @@ class TestConfig:
     def test_kinds_nothing_runs_are_rejected(self, kind):
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_dict(tiny_doc(kind=kind))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "pair_kind", "control"), ("experiment", "axis", 0),
+        ("experiment", "remove_mean", False), ("solver", "scheme", "etd-rk2")])
+    def test_keys_nothing_reads_are_rejected(self, tmp_path, capsys,
+                                             section, key, value):
+        doc = tiny_doc()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=section):
+            ExperimentConfig.from_dict(doc)
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["inflate", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("dim, name, radius, points", [
         (1, "antisym2", 64, 200), (1, "antisym2", 1024, 3125),
@@ -300,8 +316,26 @@ class TestTables:
 class TestCli:
     def test_identities_exit_zero(self, capsys):
         assert main(["identities", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "pass" in out and "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 36
+        assert [l.split()[0] for l in lines] == \
+            ["d=1"] * 12 + ["d=2"] * 12 + ["d=3"] * 12
+        assert all(l.endswith("[pass]") for l in lines)
+
+    def test_identities_fail_in_one_dimension(self, monkeypatch, capsys):
+        suite = cli.run_identity_suite
+
+        def broken_at_d3(seed, dim):
+            results = suite(seed=seed, dim=dim)
+            if dim == 3:
+                results[-1] = replace(results[-1], defect=1.0)
+            return results
+
+        monkeypatch.setattr(cli, "run_identity_suite", broken_at_d3)
+        assert main(["identities"]) == 1
+        failed = [l for l in capsys.readouterr().out.splitlines()
+                  if l.endswith("[FAIL]")]
+        assert len(failed) == 1 and failed[0].startswith("d=3 ")
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["inflate"]) == 2

@@ -7,8 +7,7 @@ import pytest
 from scipy import fft as sfft
 
 from nlheat.field import (SpectralField, TorusGrid, analyze, analyze_values,
-                          dealias_points, pointwise_product, synthesize,
-                          synthesize_real)
+                          dealias_points, pointwise_product, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from nlheat.solver import SolveConfig, solve
@@ -108,7 +107,7 @@ class TestTransforms:
     def test_round_trip(self, dim):
         grid = TorusGrid(dim, 7)
         f = hermitian_field(grid, components=2, seed=dim)
-        vals = synthesize(f)
+        vals = synthesize_real(f)
         back = analyze_values(vals, grid)
         assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
@@ -131,6 +130,15 @@ class TestTransforms:
         coeffs[0, 3] = 1.0   # e_1 alone is not a real field
         with pytest.raises(ValueError):
             synthesize_real(SpectralField(grid, coeffs))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_analyze_rejects_complex_values(self, dim):
+        grid = TorusGrid(dim, 5)
+        vals = np.ones((2,) + (grid.points_per_axis,) * dim, complex)
+        with pytest.raises(ValueError, match="real"):
+            analyze_values(vals, grid)
+        with pytest.raises(ValueError, match="real"):
+            analyze(vals, grid)
 
     def test_analyze_shapes(self):
         grid = TorusGrid(2, 5)
@@ -231,6 +239,17 @@ class TestProducts:
         expect = conv[K: K + 7]    # central band of the full product
         p = pointwise_product(f, g)
         assert np.max(np.abs(p.coeffs[0] - expect)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_non_real_fields(self, dim):
+        grid = TorusGrid(dim, 5)
+        f = hermitian_field(grid, seed=6)
+        coeffs = np.zeros((1,) + grid.mode_shape, complex)
+        coeffs[(0,) + (grid.half_band + 1,) * dim] = 1.0
+        g = SpectralField(grid, coeffs)                  # e_k alone is not real
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="not real"):
+                pointwise_product(a, b)
 
     def test_requires_headroom(self):
         grid = TorusGrid(1, 9, 9)

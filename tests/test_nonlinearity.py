@@ -8,9 +8,9 @@ from nlheat.field import SpectralField, TorusGrid, synthesize_real
 from nlheat.nonlinearity import (SO3, NonlinearitySpec, asymmetry_witness,
                                  drift_direction, preset, preset_antisym2,
                                  preset_dym, preset_dymh)
-from nlheat.solver import SolveConfig, evaluate_rhs_nonlinear, solve
+from nlheat.solver import SolveConfig, solve
 
-from spec_helpers import permuted
+from spec_helpers import evaluate_rhs_nonlinear, permuted
 
 
 def bracket(x, y):

@@ -35,12 +35,6 @@ class TestVarianceProfile:
         with pytest.raises(ValueError):
             VarianceProfile("pink", 8)
 
-    def test_table_profile(self):
-        p = VarianceProfile("table", 2, table=(0.0, 1.0, 0.5))
-        assert p.sigma2([1, 0]) == 1.0
-        assert p.sigma2([1, 1]) == 0.5
-        assert p.sigma2([0, 0]) == 0.0
-
 
 class TestHalfSpace:
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,4 +1,4 @@
-"""Integrating-factor solver: exactness, orders, consistency checks."""
+"""ETD-RK2 solver: exactness, order, consistency checks."""
 
 import math
 
@@ -8,11 +8,10 @@ import pytest
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
-from nlheat.solver import (SolveConfig, _phi1, _phi2, evaluate_rhs_nonlinear,
-                           nonlinear_rhs_coeffs, picard_nonlinearity,
+from nlheat.solver import (SolveConfig, _phi1, _phi2, nonlinear_rhs_coeffs,
                            remainder_norms, solve)
 
-from spec_helpers import permuted
+from spec_helpers import evaluate_rhs_nonlinear, permuted, picard_nonlinearity
 
 
 def zero_spec(dim, dim_E):
@@ -33,19 +32,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(t_end=1.0, steps=0)
         with pytest.raises(ValueError):
-            SolveConfig(t_end=1.0, steps=4, scheme="rk4")
-        with pytest.raises(ValueError):
             SolveConfig(t_end=1.0, steps=4, blowup_threshold=-1.0)
 
 
 class TestLinearFlow:
-    @pytest.mark.parametrize("scheme", ["etd-rk2", "exponential-euler"])
     @pytest.mark.parametrize("steps", [1, 7])
-    def test_heat_flow_exact(self, scheme, steps):
+    def test_heat_flow_exact(self, steps):
         grid = TorusGrid(2, 9)
         u0 = random_real(grid, components=2, seed=1)
         T = 0.3
-        traj = solve(u0, zero_spec(2, 2), SolveConfig(T, steps, scheme))
+        traj = solve(u0, zero_spec(2, 2), SolveConfig(T, steps))
         expect = u0.heat(T).coeffs
         assert np.max(np.abs(traj.fields[-1].coeffs - expect)) < 1e-10
 
@@ -58,22 +54,17 @@ class TestLinearFlow:
 
 
 class TestOrders:
-    def run_linear_ode(self, scheme, steps):
+    def run_linear_ode(self, steps):
         # P(u) = -u with constant data c: exact solution c e^{-T}
         grid = TorusGrid(1, 5)
         spec = NonlinearitySpec.from_parts(1, 1, p1=-np.eye(1))
         u0 = SpectralField.constant(grid, [1.0])
         T = 1.0
-        traj = solve(u0, spec, SolveConfig(T, steps, scheme))
+        traj = solve(u0, spec, SolveConfig(T, steps))
         return abs(traj.zero_mode_path[-1][0] - math.exp(-T))
 
-    def test_exponential_euler_first_order(self):
-        errs = [self.run_linear_ode("exponential-euler", n) for n in (16, 32, 64)]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        assert min(orders) >= 0.9, (errs, orders)
-
     def test_etdrk2_second_order(self):
-        errs = [self.run_linear_ode("etd-rk2", n) for n in (16, 32, 64)]
+        errs = [self.run_linear_ode(n) for n in (16, 32, 64)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8, (errs, orders)
 

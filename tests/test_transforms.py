@@ -13,8 +13,7 @@ from scipy import fft as sfft
 from nlheat import besov, solver
 from nlheat.besov import DyadicPartition, block_lp_norms, holder_norms_batch
 from nlheat.field import (SpectralField, TorusGrid, analyze_values,
-                          dealias_points, synthesize, synthesize_coeffs,
-                          synthesize_real)
+                          dealias_points, synthesize_coeffs, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -43,11 +42,9 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def random_coeffs(rng, lead, grid, hermitian=True):
+def random_coeffs(rng, lead, grid):
     shape = lead + grid.mode_shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if not hermitian:
-        return c
     flip = tuple(range(-grid.dim, 0))
     return 0.5 * (c + np.conj(np.flip(c, axis=flip)))
 
@@ -72,15 +69,6 @@ def test_analysis_matches_complex_path_and_is_hermitian(dim, modes, points):
     got = analyze_values(values, grid)
     assert rel_err(got, ref_analyze(values, grid)) <= RTOL
     assert SpectralField(grid, got.reshape((6,) + grid.mode_shape)).reality_defect() == 0
-
-
-@pytest.mark.parametrize("dim, modes, points", GRIDS)
-def test_complex_fields_match_complex_path(dim, modes, points):
-    grid = TorusGrid(dim, modes, points)
-    coeffs = random_coeffs(np.random.default_rng(7), (2,), grid, hermitian=False)
-    values = synthesize(SpectralField(grid, coeffs))
-    assert rel_err(values, ref_synthesize(coeffs, grid)) <= RTOL
-    assert rel_err(analyze_values(values, grid), coeffs) <= RTOL
 
 
 def test_multipliers_are_cached_and_read_only():
