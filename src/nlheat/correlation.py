@@ -12,7 +12,7 @@ lattice, compressed here by bucketing modes on the integer values of n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 import math
 
@@ -188,6 +188,7 @@ class BoundReport:
     upper_spread: float    # max/min of upper_ratio over N
     lower_spread: float
     passed: bool = True
+    integral_ratio: dict = dc_field(default_factory=dict)   # (a, b, p) -> N -> ratio
 
     def rows(self):
         for N in self.radii:
@@ -283,13 +284,12 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
         adm = (t_grid > 1.0 / N ** 2) & (t_grid < 1.0)
         lll = math.log(math.log(math.log(N))) if math.log(math.log(N)) > 1 else None
         low_vals = []
-        for t in t_grid[adm]:
-            inner = math.log(math.log(1.0 / t))
+        for idx in np.flatnonzero(adm):
+            inner = math.log(math.log(1.0 / t_grid[idx]))
             if lll is None or inner <= 1.0:
                 continue
             env = lll - math.log(inner)
             if env > 0.05:
-                idx = int(np.argmin(np.abs(t_grid - t)))
                 low_vals.append(mag[idx] / env)
         lower[N] = min(low_vals) if low_vals else None
         t_top = float(t_grid.max())
@@ -303,9 +303,7 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
     int_ok = all(_spread(d.values()) <= INTEGRAL_SPREAD_MAX
                  for d in integral_ratio.values())
     passed = us <= SPREAD_MAX and int_ok
-    report = BoundReport(list(radii), upper, lower, us, ls, passed)
-    report.integral_ratio = integral_ratio
-    return report
+    return BoundReport(list(radii), upper, lower, us, ls, passed, integral_ratio)
 
 
 # -- moment experiments --------------------------------------------------------
@@ -355,18 +353,6 @@ class TrendReport:
         return cls(radii, samples, means, q90, slope)
 
 
-def _pair_fields(profile, grid, kind: str, master_seed: int, trial: int):
-    """Scalar (X, Y) for one trial: adversarial, control, or self pair."""
-    X = sample_real_gfs(profile, grid, stream(master_seed, trial, 0))
-    if kind == "adversarial":
-        return X, X.rotate()
-    if kind == "self":
-        return X, X
-    if kind == "control":
-        return X, sample_real_gfs(profile, grid, stream(master_seed, trial, 1))
-    raise ValueError(f"unknown pair kind {kind!r}")
-
-
 def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
                                    params: ParameterSet, axis: int,
                                    trials: int, radii, master_seed: int,
@@ -376,8 +362,11 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
     Per trial, one pair is sampled at the largest cutoff and the smaller
     cutoffs are its band truncations X^N = Pi_N X, exactly as the finite
     series is defined; the coupling keeps the per-N laws exact while
-    cancelling most of the Monte Carlo noise in the trend.
+    cancelling most of the Monte Carlo noise in the trend.  The only pair
+    ``kind`` is ``"adversarial"``: Y is the phase rotation of X.
     """
+    if kind != "adversarial":
+        raise ValueError(f"unknown pair kind {kind!r}")
     params.check_dim(dim)
     t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
     radii = sorted(int(N) for N in radii)
@@ -386,7 +375,8 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
     prof = profile_for_N(top)
     samples = {N: np.empty(trials) for N in radii}
     for trial in range(trials):
-        X, Y = _pair_fields(prof, grid, kind, master_seed, trial)
+        X = sample_real_gfs(prof, grid, stream(master_seed, trial, 0))
+        Y = X.rotate()
         for N in radii:
             samples[N][trial] = decorrelated_statistic(
                 X.project_band(N), Y.project_band(N), axis,

@@ -10,7 +10,7 @@ CSV.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 import csv
 import json
 import math
@@ -141,6 +141,9 @@ class ExperimentConfig:
     def trials(self) -> int:
         return int(self.experiment.get("trials", 50))
 
+    def epsilon(self) -> float:
+        return float(self.experiment.get("epsilon", 1.0))
+
     def horizon(self, radius: int) -> float:
         M = float(self.experiment.get("log_exponent", 4))
         return math.log(radius) ** (-M)
@@ -165,15 +168,33 @@ def _trial_grid(cfg: ExperimentConfig, radius: int,
     return TorusGrid(cfg.dim, M, dealias_points(M, nl.has_cubic(), cfg.dim))
 
 
+def _base_point(cfg: ExperimentConfig, dim_E: int):
+    """``experiment.base`` as a vector in E, or None for the point 0."""
+    base = cfg.experiment.get("base", "zero")
+    if base == "zero":
+        return None
+    if not (isinstance(base, (list, tuple)) and len(base) == dim_E and all(
+            isinstance(v, (int, float)) and math.isfinite(v) for v in base)):
+        raise ConfigError(f"experiment.base must be 'zero' or a vector of "
+                          f"{dim_E} finite numbers, got {base!r}")
+    return np.asarray(base, float)
+
+
 def _inflation_trial(args):
-    """One (radius, trial) of the inflation experiment, both arms."""
-    cfg, radius, trial, base_coeffs, epsilon = args
+    """One (radius, trial) of the inflation experiment, both arms.
+
+    The data are u0 = x + eps (X + Y), with eps = ``experiment.epsilon``
+    (default 1) and the constant x = ``experiment.base`` (default 0).
+    ``u0_holder_eta`` is the distance |u0 - x|_{C^eta} = |eps (X + Y)|_{C^eta}.
+    """
+    cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()
     a, b = cfg.pair
     grid = _trial_grid(cfg, radius, nl)
     prof = cfg.profile_for(radius)
     spec = GfsSpec.uniform(grid, prof, nl.dim_E)
     nc = nl.dim_E
+    epsilon, base = cfg.epsilon(), _base_point(cfg, nc)
 
     def xs():
         return [stream(cfg.seed, trial, c) for c in range(nc)]
@@ -194,14 +215,13 @@ def _inflation_trial(args):
 
     out = {"trial": trial, "radius": radius, "seed": cfg.seed}
     for arm, Y in (("adversarial", Y_adv), ("control", Y_ctl)):
-        u0 = SpectralField(grid, base_coeffs + epsilon * (X.coeffs + Y.coeffs)) \
-            if base_coeffs is not None else \
-            SpectralField(grid, epsilon * (X.coeffs + Y.coeffs))
+        pert = SpectralField(grid, epsilon * (X.coeffs + Y.coeffs))
+        u0 = pert if base is None else SpectralField.constant(grid, base) + pert
         traj = solve(u0, nl, solve_cfg)
         rec = {
             "status": traj.status,
             "zero_mode_sup": traj.zero_mode_sup(),
-            "u0_holder_eta": holder_norm(u0, params.eta),
+            "u0_holder_eta": holder_norm(pert, params.eta),
         }
         if arm == "adversarial" and traj.status == "completed":
             norms = remainder_norms(traj, u0, drift, params.beta_hat)
@@ -240,8 +260,7 @@ def _map_trials(worker, tasks, threads: int) -> list:
 
 # -- experiment drivers --------------------------------------------------------
 
-def run_inflation(cfg: ExperimentConfig, base_coeffs=None,
-                  epsilon: float = 1.0) -> dict:
+def run_inflation(cfg: ExperimentConfig) -> dict:
     """Adversarial-vs-control zero-mode growth across the cutoff list.
 
     Returns per-radius blow-up counts and medians over completed trials for
@@ -250,10 +269,10 @@ def run_inflation(cfg: ExperimentConfig, base_coeffs=None,
     nl = cfg.nonlinearity_spec()
     if asymmetry_witness(nl) is None:
         raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
+    _base_point(cfg, nl.dim_E)          # a bad base fails before any trial
     records = []
     for radius in cfg.radii():
-        tasks = [(cfg, radius, t, base_coeffs, epsilon)
-                 for t in range(cfg.trials())]
+        tasks = [(cfg, radius, t) for t in range(cfg.trials())]
         records.extend(_map_trials(_inflation_trial, tasks, cfg.threads))
     records.sort(key=lambda r: (r["radius"], r["trial"]))
 
@@ -278,28 +297,18 @@ def run_inflation(cfg: ExperimentConfig, base_coeffs=None,
 
 
 def run_perturbed_inflation(cfg: ExperimentConfig) -> dict:
-    """Inflation around a smooth base point x with u0 = x + eps (X + Y)."""
-    eps = float(cfg.experiment.get("epsilon", 1.0))
-    base = cfg.experiment.get("base", "zero")
-    nl = cfg.nonlinearity_spec()
-    summary = {"kind": "perturb", "epsilon": eps, "radii": cfg.radii(),
-               "per_radius": {}}
-    for radius in cfg.radii():
-        grid = _trial_grid(cfg, radius, nl)
-        if base == "zero":
-            base_field = SpectralField.zero(grid, nl.dim_E)
-        elif isinstance(base, (list, tuple)):
-            base_field = SpectralField.constant(grid, np.asarray(base, float))
-        else:
-            raise ConfigError("experiment.base must be 'zero' or a vector")
-        sub = replace(cfg, experiment={**cfg.experiment, "radii": [radius]})
-        res = run_inflation(sub, base_field.coeffs, eps)
-        entry = res["per_radius"][radius]
-        dists = [r["adversarial"]["u0_holder_eta"] for r in res["records"]]
-        entry["distance_median"] = float(np.median(dists))
-        summary["per_radius"][radius] = entry
-        summary.setdefault("records", []).extend(res["records"])
-    return summary
+    """Inflation around the base point x, with u0 = x + eps (X + Y).
+
+    The inflation summary plus ``epsilon`` and, per radius, the median over
+    all trials of the distance |u0 - x|_{C^eta} of the adversarial data.
+    """
+    res = run_inflation(cfg)
+    for radius, entry in res["per_radius"].items():
+        entry["distance_median"] = float(np.median(
+            [r["adversarial"]["u0_holder_eta"] for r in res["records"]
+             if r["radius"] == radius]))
+    return {"kind": "perturb", "epsilon": cfg.epsilon(), "radii": res["radii"],
+            "per_radius": res["per_radius"], "records": res["records"]}
 
 
 def run_besov_convergence(cfg: ExperimentConfig) -> dict:
@@ -386,11 +395,10 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
               int_rows)
 
     params = cfg.parameter_set()
-    m_radii = [int(N) for N in exp.get("radii", [16, 32])]
     trials = int(exp.get("trials", 20))
     dec = moment_experiment_decorrelated(
-        prof_for, dim, "adversarial", params, 0, trials, m_radii, cfg.seed)
-    zexp = moment_experiment_Z(prof_for, dim, params, trials, m_radii, cfg.seed)
+        prof_for, dim, "adversarial", params, 0, trials, radii, cfg.seed)
+    zexp = moment_experiment_Z(prof_for, dim, params, trials, radii, cfg.seed)
     mom_rows = [("decorrelated", N, dec.means[N], dec.q90[N]) for N in dec.radii]
     mom_rows += [("z_centred", N, zexp.means[N], zexp.q90[N]) for N in zexp.radii]
     mom_rows += [("decorrelated_slope", "", dec.slope, ""),

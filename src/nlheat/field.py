@@ -218,9 +218,6 @@ class SpectralField:
         mult = np.where(k1 > 0, 1j, np.where(k1 < 0, -1j, 1.0 + 0j))
         return SpectralField(self.grid, self.coeffs * mult)
 
-    def scaled(self, factor: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * factor)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
@@ -261,11 +258,10 @@ def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                        norm="forward")
 
 
-def synthesize_real(field: SpectralField, points: int | None = None,
-                    tol: float = 1e-10) -> np.ndarray:
+def synthesize_real(field: SpectralField) -> np.ndarray:
     """Real values of the field; raises ValueError unless it is real."""
-    field.require_real(tol)
-    return synthesize_coeffs(field.coeffs, field.grid, points)
+    field.require_real()
+    return synthesize_coeffs(field.coeffs, field.grid)
 
 
 def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -7,7 +7,9 @@ Tensors are stored output-first:
     B[i, c, a, b]      coefficient of T^c in B_i(T^a, T^b)
     p0[c], p1[c, a], p2[c, a, b], p3[c, a, b, e]
 
-with p2, p3 symmetrised over their input slots.
+with p2, p3 symmetrised over their input slots.  The presets are
+``antisym2`` and the gauge flows ``dym`` (DeTurck-Yang-Mills) and ``dymh``
+(with an adjoint Higgs field), whose tensors one private function builds.
 """
 
 from __future__ import annotations
@@ -154,101 +156,56 @@ def preset_antisym2(dim: int = 1) -> NonlinearitySpec:
     return NonlinearitySpec.from_parts(dim, 2, B=B)
 
 
+def _gauge_flow(dim: int, algebra, higgs: bool) -> NonlinearitySpec:
+    """Tensors of the gauge flow, with an adjoint Higgs block if ``higgs``.
+
+    E is indexed as (block, alpha): blocks dx^0..dx^(dim-1), then the Higgs
+    block, flattened as block * dim(g) + alpha.  B holds the transport
+    2 [X^i, V^j] into every block j and the gauge fixing -[X^j, V^j] dx^i
+    over the gauge blocks; p3 holds sum_i [X^i, [X^i, X^j]] for every block
+    j and, with the Higgs block Phi, -|Phi|^2 Phi.
+    """
+    f = _structure_constants(algebra)
+    if not np.any(f):
+        raise ValueError("abelian Lie algebra gives a symmetric B; no witness")
+    ng, nb = f.shape[0], dim + higgs
+    f_out = f.transpose(2, 0, 1)                     # [e_a, e_b] -> (c, a, b)
+    # [e_a, [e_b, e_c]] = sum_d ff[d, a, b, c] e_d
+    ff = np.einsum("bcm,amd->dabc", f, f)
+    B = np.zeros((dim, nb, ng, nb, ng, nb, ng))
+    p3 = np.zeros((nb, ng) * 4)
+    for i in range(dim):
+        for j in range(nb):
+            B[i, j, :, i, :, j, :] += 2.0 * f_out
+            p3[j, :, i, :, i, :, j, :] += ff
+        for l in range(dim):
+            B[i, i, :, l, :, l, :] -= f_out
+    if higgs:
+        eye = np.eye(ng)
+        p3[dim, :, dim, :, dim, :, dim, :] -= np.einsum("ad,bc->abcd", eye, eye)
+    n = nb * ng
+    return NonlinearitySpec.from_parts(dim, n, B=B.reshape(dim, n, n, n),
+                                       p3=p3.reshape(n, n, n, n))
+
+
 def preset_dym(dim: int = 3, algebra="so3") -> NonlinearitySpec:
     """Gauge heat flow with the divergence gauge-fixing term.
 
-    E = g^dim with basis T^(j, alpha) = e_alpha dx^j, flattened as
-    j * dim(g) + alpha.  The quadratic part implements
+    E = g^dim with basis T^(j, alpha) = e_alpha dx^j.  The quadratic part
         B_i(X, V) = sum_j 2 [X^i, V^j] dx^j - sum_l [X^l, V^l] dx^i
-    so that sum_i B_i(u, d_i u) reproduces the commutator transport and
-    gauge-fixing terms, and the cubic part is P(X)^j = sum_i [X^i,[X^i,X^j]].
+    makes sum_i B_i(u, d_i u) the commutator transport and gauge-fixing
+    terms, and the cubic part is P(X)^j = sum_i [X^i,[X^i,X^j]].
     """
-    f = _structure_constants(algebra)
-    if not np.any(f):
-        raise ValueError("abelian Lie algebra gives a symmetric B; no witness")
-    ng = f.shape[0]
-    n = dim * ng
-
-    def idx(j, alpha):
-        return j * ng + alpha
-
-    B = np.zeros((dim, n, n, n))
-    for i in range(dim):
-        for alpha in range(ng):
-            for beta in range(ng):
-                for gamma in range(ng):
-                    fv = f[alpha, beta, gamma]
-                    if fv == 0.0:
-                        continue
-                    for j in range(dim):
-                        # 2 [X^i, V^j] dx^j
-                        B[i, idx(j, gamma), idx(i, alpha), idx(j, beta)] += 2.0 * fv
-                        # - [X^l, V^l] dx^i  (l renamed j)
-                        B[i, idx(i, gamma), idx(j, alpha), idx(j, beta)] -= fv
-
-    p3 = np.zeros((n, n, n, n))
-    for j in range(dim):
-        for i in range(dim):
-            for alpha in range(ng):
-                for beta in range(ng):
-                    for gamma in range(ng):
-                        for mu in range(ng):
-                            for delta in range(ng):
-                                val = f[beta, gamma, mu] * f[alpha, mu, delta]
-                                if val != 0.0:
-                                    p3[idx(j, delta), idx(i, alpha),
-                                       idx(i, beta), idx(j, gamma)] += val
-    return NonlinearitySpec.from_parts(dim, n, B=B, p3=p3)
+    return _gauge_flow(dim, algebra, higgs=False)
 
 
-def preset_dymh(dim: int = 3, algebra="so3",
-                higgs_cubic: bool = True) -> NonlinearitySpec:
+def preset_dymh(dim: int = 3, algebra="so3") -> NonlinearitySpec:
     """Gauge flow coupled to an adjoint Higgs component.
 
-    E = g^dim + g; the Higgs block gets the transport coupling
-    2 [X^i, d_i Phi] and the cubic terms sum_i [X^i, [X^i, Phi]] and,
-    optionally, -|Phi|^2 Phi.
+    E = g^dim + g; the Higgs block Phi gets the transport coupling
+    2 [X^i, d_i Phi] and the cubic terms sum_i [X^i, [X^i, Phi]] - |Phi|^2 Phi.
     """
-    f = _structure_constants(algebra)
-    if not np.any(f):
-        raise ValueError("abelian Lie algebra gives a symmetric B; no witness")
-    ng = f.shape[0]
-    gauge = preset_dym(dim, algebra)
-    n = (dim + 1) * ng
-
-    def idx(j, alpha):
-        return j * ng + alpha
-
-    def hidx(alpha):
-        return dim * ng + alpha
-
-    B = np.zeros((dim, n, n, n))
-    B[:, :dim * ng, :dim * ng, :dim * ng] = gauge.B
-    p3 = np.zeros((n, n, n, n))
-    p3[:dim * ng, :dim * ng, :dim * ng, :dim * ng] = gauge.p3
-
-    for i in range(dim):
-        for alpha in range(ng):
-            for beta in range(ng):
-                for gamma in range(ng):
-                    fv = f[alpha, beta, gamma]
-                    if fv != 0.0:
-                        B[i, hidx(gamma), idx(i, alpha), hidx(beta)] += 2.0 * fv
-    for i in range(dim):
-        for alpha in range(ng):
-            for beta in range(ng):
-                for gamma in range(ng):
-                    for mu in range(ng):
-                        for delta in range(ng):
-                            val = f[beta, gamma, mu] * f[alpha, mu, delta]
-                            if val != 0.0:
-                                p3[hidx(delta), idx(i, alpha),
-                                   idx(i, beta), hidx(gamma)] += val
-    if higgs_cubic:
-        for alpha in range(ng):
-            for beta in range(ng):
-                p3[hidx(alpha), hidx(beta), hidx(beta), hidx(alpha)] -= 1.0
-    return NonlinearitySpec.from_parts(dim, n, B=B, p3=p3)
+    return _gauge_flow(dim, algebra, higgs=True)
 
 
 def preset(name: str, dim: int | None = None, algebra="so3") -> NonlinearitySpec:

@@ -83,11 +83,6 @@ class VarianceProfile:
         out[tail] = vals
         return out
 
-    def sigma2(self, k) -> float:
-        """sigma^2 at a single wavenumber (vector or scalar radius)."""
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        return float(self.sigma2_from_r2(np.sum(k * k)))
-
 
 @dataclass(frozen=True)
 class GfsSpec:

@@ -123,7 +123,7 @@ class TestNorms:
         g = random_field(grid, 2)
         alpha = -0.5
         nf = holder_norm(f, alpha)
-        assert abs(holder_norm(f.scaled(3.0), alpha) - 3.0 * nf) < 1e-10 * nf
+        assert abs(holder_norm(SpectralField(grid, 3.0 * f.coeffs), alpha) - 3.0 * nf) < 1e-10 * nf
         both = SpectralField(grid, f.coeffs + g.coeffs)
         assert holder_norm(both, alpha) <= nf + holder_norm(g, alpha) + 1e-12
 

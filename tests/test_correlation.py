@@ -11,7 +11,8 @@ from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
-                                trend_slope, weighted_drift_integral)
+                                moment_experiment_decorrelated, trend_slope,
+                                weighted_drift_integral)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -196,6 +197,12 @@ class TestStatistics:
         Y = SpectralField.constant(grid, [2.0])
         t_grid = geometric_grid(1.0, 1e-2, 10)
         assert decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid) == 0.0
+
+    @pytest.mark.parametrize("kind", ["self", "control"])
+    def test_moment_pair_kind_must_be_adversarial(self, kind):
+        with pytest.raises(ValueError, match="pair kind"):
+            moment_experiment_decorrelated(VarianceProfile.white, 1, kind,
+                                           ParameterSet.default(1), 0, 2, [8], 3)
 
     def test_trend_slope_exact_powers(self):
         radii = [16, 32, 64]

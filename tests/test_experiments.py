@@ -42,7 +42,7 @@ def fake_trials(blown):
                 "u0_holder_eta": 1.0, **done}
 
     def fake(args):
-        cfg, radius, trial, _, _ = args
+        cfg, radius, trial = args
         a, c = blown.get(radius, (0, 0))
         return {"trial": trial, "radius": radius, "seed": cfg.seed,
                 "adversarial": arm(trial < a, radius + trial, remainder_sup=10.0,
@@ -136,8 +136,8 @@ class TestConfig:
 class TestInflation:
     def test_trial_replay_identical(self):
         cfg = ExperimentConfig.from_dict(tiny_doc())
-        a = _inflation_trial((cfg, 16, 1, None, 1.0))
-        b = _inflation_trial((cfg, 16, 1, None, 1.0))
+        a = _inflation_trial((cfg, 16, 1))
+        b = _inflation_trial((cfg, 16, 1))
         assert a == b
 
     def test_thread_count_invariance(self):
@@ -150,7 +150,7 @@ class TestInflation:
     def test_control_arm_shares_X(self):
         # both arms of a trial consume identical X streams
         cfg = ExperimentConfig.from_dict(tiny_doc())
-        rec = _inflation_trial((cfg, 8, 0, None, 1.0))
+        rec = _inflation_trial((cfg, 8, 0))
         grid = TorusGrid(1, 17)
         X1 = sample_real_gfs(VarianceProfile.white(8), grid, stream(77, 0, 0))
         X2 = sample_real_gfs(VarianceProfile.white(8), grid, stream(77, 0, 0))
@@ -201,7 +201,7 @@ class TestInflation:
 
     def test_blown_up_trial_is_excluded_from_medians(self, monkeypatch):
         def fake_trial(args):
-            cfg, radius, trial, _, _ = args
+            cfg, radius, trial = args
             adv = {"status": "completed", "zero_mode_sup": 1.0 + trial,
                    "u0_holder_eta": 1.0, "remainder_sup": 10.0 + trial,
                    "drift_final": 5.0}
@@ -275,6 +275,57 @@ class TestInflation:
         for N in half["radii"]:
             assert half["per_radius"][N]["distance_median"] > 0
 
+
+    def test_distance_is_measured_from_the_base(self):
+        # |u0 - x|_{C^eta} is the norm of eps (X + Y), whatever the base x
+        runs = []
+        for base in ("zero", [5.0, 0.0]):
+            doc = tiny_doc(kind="perturb")
+            doc["experiment"].update(epsilon=0.5, base=base, radii=[8])
+            runs.append(run_perturbed_inflation(ExperimentConfig.from_dict(doc)))
+        at_zero, shifted = runs
+        assert shifted["per_radius"][8]["distance_median"] == \
+            at_zero["per_radius"][8]["distance_median"]
+        for ra, rb in zip(at_zero["records"], shifted["records"]):
+            for arm in ("adversarial", "control"):
+                assert ra[arm]["u0_holder_eta"] == rb[arm]["u0_holder_eta"]
+            assert ra["adversarial"]["zero_mode_sup"] != \
+                rb["adversarial"]["zero_mode_sup"]
+
+    @pytest.mark.parametrize("base", [[5.0], [5.0, 0.0, 1.0], "one",
+                                      ["a", "b"], [float("nan"), 0.0]],
+                             ids=["short", "long", "word", "strings", "nan"])
+    def test_bad_base_fails_before_any_trial(self, monkeypatch, tmp_path,
+                                             capsys, base):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_inflation_trial", no_trial)
+        for kind in ("inflate", "perturb", "remainder"):
+            doc = tiny_doc(kind=kind)
+            doc["experiment"]["base"] = base
+            with pytest.raises(ConfigError, match="experiment.base"):
+                run_inflation(ExperimentConfig.from_dict(doc))
+            p = tmp_path / "c.yaml"
+            p.write_text(yaml.safe_dump(doc))
+            assert main([kind, "--config", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "experiment.base" in capsys.readouterr().err
+
+    def test_every_inflation_kind_honours_epsilon_and_base(self):
+        runs = {}
+        for kind, run in (("inflate", run_inflation),
+                          ("perturb", run_perturbed_inflation),
+                          ("remainder", run_remainder_tracking)):
+            doc = tiny_doc(kind=kind)
+            doc["experiment"].update(epsilon=0.5, base=[0.25, -0.5],
+                                     radii=[8], trials=2)
+            runs[kind] = run(ExperimentConfig.from_dict(doc))["records"]
+        assert runs["inflate"] == runs["perturb"] == runs["remainder"]
+        doc = tiny_doc()
+        doc["experiment"].update(radii=[8], trials=2)
+        assert run_inflation(ExperimentConfig.from_dict(doc))["records"] != \
+            runs["inflate"]
 
     def test_perturb_drift_scales_with_epsilon_squared(self):
         finals = {}

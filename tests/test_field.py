@@ -261,6 +261,6 @@ class TestProducts:
         grid = TorusGrid(2, 5)
         f = hermitian_field(grid, seed=4)
         g = hermitian_field(grid, seed=5)
-        lhs = pointwise_product(f.scaled(2.0), g).coeffs
-        rhs = pointwise_product(f, g).scaled(2.0).coeffs
+        lhs = pointwise_product(SpectralField(grid, 2.0 * f.coeffs), g).coeffs
+        rhs = 2.0 * pointwise_product(f, g).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -90,6 +90,31 @@ class TestPresets:
         assert h.dim_E == n + 3
         assert np.array_equal(h.B[:, :n, :n, :n], g.B)
 
+    @pytest.mark.parametrize("name", ["dym", "dymh"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gauge_tensors_match_bracket_formula(self, name, dim):
+        """B_i(X, V) = sum_j 2 [X^i, V^j] dx^j - sum_l [X^l, V^l] dx^i, plus
+        2 [X^i, Phi_V] on the Higgs block; P(X)^j = sum_i [X^i, [X^i, X^j]],
+        plus sum_i [X^i, [X^i, Phi]] - |Phi|^2 Phi on the Higgs block."""
+        spec = preset(name, dim)
+        blocks = dim + (name == "dymh")
+        assert spec.dim_E == 3 * blocks
+        rng = np.random.default_rng(dim)
+        X, V = rng.standard_normal((2, blocks, 3))
+        fix = sum(bracket(X[l], V[l]) for l in range(dim))
+        for i in range(dim):
+            expect = np.array([2.0 * bracket(X[i], V[j]) for j in range(blocks)])
+            expect[i] -= fix
+            got = np.einsum("cab,a,b->c", spec.B[i], X.ravel(), V.ravel())
+            assert np.allclose(got, expect.ravel(), rtol=0, atol=1e-12)
+        expect = np.array([sum(bracket(X[i], bracket(X[i], X[j]))
+                               for i in range(dim)) for j in range(blocks)])
+        if name == "dymh":
+            expect[dim] -= (X[dim] @ X[dim]) * X[dim]
+        x = X.ravel()
+        got = np.einsum("cabe,a,b,e->c", spec.p3, x, x, x)
+        assert np.allclose(got, expect.ravel(), rtol=0, atol=1e-12)
+
     def test_symmetrization(self):
         p2 = np.zeros((1, 1, 1))
         p2[0, 0, 0] = 2.0
@@ -173,7 +198,7 @@ class TestOdeReduction:
     def test_dymh_higgs_constant_data_matches_ode(self):
         """Constant data with only the Higgs block active: the transport
         coupling vanishes and the flow is dPhi/dt = -|Phi|^2 Phi."""
-        spec = preset_dymh(2, higgs_cubic=True)
+        spec = preset_dymh(2)
         phi0 = np.array([0.5, -0.3, 0.2])
         x0 = np.zeros(spec.dim_E)
         x0[-3:] = phi0

@@ -12,20 +12,20 @@ from nlheat.sampling import (GfsSpec, VarianceProfile, build_adversarial_pair,
 class TestVarianceProfile:
     def test_white_inside_cutoff(self):
         p = VarianceProfile.white(4)
-        assert p.sigma2([3, 0]) == 1.0
-        assert p.sigma2([5, 0]) == 0.0
+        assert p.sigma2_from_r2(9.0) == 1.0
+        assert p.sigma2_from_r2(25.0) == 0.0
 
     def test_power_values(self):
         p = VarianceProfile.power(8, -2.0)
-        assert abs(p.sigma2([4, 0]) - 1.0 / 16.0) < 1e-14
+        assert abs(p.sigma2_from_r2(16.0) - 1.0 / 16.0) < 1e-14
 
     def test_powerlog_floor_region(self):
         p = VarianceProfile.power_log(3, 16, -1.0, -1.0)
-        assert p.sigma2([1, 0, 0]) == p.floor
-        assert p.sigma2([2, 0, 0]) == p.floor
+        assert p.sigma2_from_r2(1.0) == p.floor
+        assert p.sigma2_from_r2(4.0) == p.floor
         r = 5.0
         expect = r ** -2 * np.log(r) ** -1 * np.log(np.log(r)) ** -1
-        assert abs(p.sigma2([5, 0, 0]) - expect) < 1e-14
+        assert abs(p.sigma2_from_r2(25.0) - expect) < 1e-14
 
     def test_powerlog_requires_k0_above_e(self):
         with pytest.raises(ValueError):

@@ -142,7 +142,8 @@ class TestConsistency:
         band leaves the trajectory unchanged (dealiasing sufficiency)."""
         small = TorusGrid(1, 17)
         big = TorusGrid(1, 33)
-        u0s = random_real(small, components=2, seed=8).project_band(4).scaled(0.02)
+        u0s = SpectralField(
+            small, 0.02 * random_real(small, components=2, seed=8).project_band(4).coeffs)
         K_small, K_big = small.half_band, big.half_band
         pad = K_big - K_small
         coeffs = np.zeros((2, 33), complex)
