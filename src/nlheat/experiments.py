@@ -185,7 +185,8 @@ def _inflation_trial(args):
 
     The data are u0 = x + eps (X + Y), with eps = ``experiment.epsilon``
     (default 1) and the constant x = ``experiment.base`` (default 0).
-    ``u0_holder_eta`` is the distance |u0 - x|_{C^eta} = |eps (X + Y)|_{C^eta}.
+    ``u0_holder_eta`` is the distance |u0 - x|_{C^eta} = |eps (X + Y)|_{C^eta};
+    ``steps`` and ``sup_max`` are the solve's completed steps and largest sup|u|.
     """
     cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()
@@ -222,6 +223,8 @@ def _inflation_trial(args):
             "status": traj.status,
             "zero_mode_sup": traj.zero_mode_sup(),
             "u0_holder_eta": holder_norm(pert, params.eta),
+            "steps": traj.steps,
+            "sup_max": traj.sup_max,
         }
         if arm == "adversarial" and traj.status == "completed":
             norms = remainder_norms(traj, u0, drift, params.beta_hat)

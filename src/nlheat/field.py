@@ -10,6 +10,10 @@ grid (2/3-rule dealiasing) so that products are exact on the retained band.
 Fields are real, with Hermitian coefficients f_{-k} = conj(f_k), so the
 transforms are real-to-complex: synthesis reads only the k_d >= 0 half of
 the cube, and analysis rebuilds the k_d < 0 half as its conjugate mirror.
+At d >= 2 synthesis transforms one axis at a time, in ``irfftn``'s order
+(c2c on axes -d..-2, then c2r on the last), so each pass runs only over the
+lines that can be non-zero: those inside the band on the axes not yet
+transformed.  Its values equal ``irfftn`` of the zero-padded cube bit for bit.
 ``synthesize_real``, ``analyze_values`` and the product reject non-real input.
 """
 
@@ -232,11 +236,11 @@ class SpectralField:
 # -- transforms ---------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _band_indices(grid: TorusGrid, points: int) -> tuple[np.ndarray, ...]:
-    """Open mesh placing -K..K on the leading dim-1 axes of a G-point grid."""
+def _band_positions(grid: TorusGrid, points: int) -> np.ndarray:
+    """Where the wavenumbers -K..K sit on one axis of a G-point grid."""
     pos = grid.wavenumbers % points
     pos.setflags(write=False)       # cached: shared by every caller
-    return np.ix_(*([pos] * (grid.dim - 1)))
+    return pos
 
 
 def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid,
@@ -250,12 +254,13 @@ def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid,
     d, K = grid.dim, grid.half_band
     if G < grid.modes_per_axis or coeffs.shape[coeffs.ndim - d:] != grid.mode_shape:
         raise ValueError("coefficients must end in the wavenumber cube, points >= M")
-    if d == 1:
-        return sfft.irfft(coeffs[..., K:], n=G, norm="forward")
-    half = np.zeros(coeffs.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
-    half[(Ellipsis, *_band_indices(grid, G), slice(None))] = coeffs[..., K:]
-    return sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
-                       norm="forward")
+    vals = coeffs[..., K:]
+    for axis in range(-d, -1):      # irfftn's order: c2c on -d..-2, then c2r
+        pad = np.zeros(vals.shape[:axis] + (G,) + vals.shape[axis + 1:], complex)
+        band = (Ellipsis, _band_positions(grid, G)) + (slice(None),) * (-1 - axis)
+        pad[band] = vals
+        vals = sfft.ifft(pad, axis=axis, norm="forward", overwrite_x=True)
+    return sfft.irfft(vals, n=G, norm="forward")
 
 
 def synthesize_real(field: SpectralField) -> np.ndarray:
@@ -281,7 +286,8 @@ def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
         half = sfft.rfft(values, norm="forward")
     else:
         half = sfft.rfftn(values, axes=tuple(range(-d, 0)), norm="forward")
-        half = half[(Ellipsis, *_band_indices(grid, G), slice(K + 1))]
+        band = np.ix_(*[_band_positions(grid, G)] * (d - 1))
+        half = half[(Ellipsis, *band, slice(K + 1))]
         zero = half[..., 0]     # make the k_d = 0 plane exactly Hermitian too
         half[..., 0] = 0.5 * (zero + np.conj(zero[(Ellipsis, *rev)]))
     out = np.empty(values.shape[:lead] + grid.mode_shape, complex)

@@ -8,6 +8,10 @@ ETD-RK2 scheme of Cox & Matthews (2002) at z = -|k|^2 h:
 
 with phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2.  The stage a is
 an exponential-Euler step, and h phi2 (N(a) - N(u_t)) estimates its error.
+
+N(u) is evaluated on the oversampled grid as matrix products over point
+chunks, each chunk's factor arrays within ``besov.BATCH_BYTES`` so that they
+stay in cache; the result does not depend on the chunk width.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import besov
 from .besov import holder_norm
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .nonlinearity import NonlinearitySpec
@@ -41,7 +46,8 @@ class SolveConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots, densely recorded zero-mode path, and blow-up status."""
+    """Snapshots, densely recorded zero-mode path, blow-up status, and the
+    largest sup|u| that any right-hand side evaluation saw."""
 
     times: list
     fields: list
@@ -49,6 +55,12 @@ class Trajectory:
     zero_mode_path: np.ndarray           # (n_recorded, dim_E)
     status: str = "completed"            # "completed" | "blewup"
     blowup_time: float | None = None
+    sup_max: float = 0.0
+
+    @property
+    def steps(self) -> int:
+        """Steps completed: the blow-up step, if any, is not counted."""
+        return len(self.zero_mode_times) - 1
 
     def zero_mode_sup(self) -> float:
         return float(np.max(np.linalg.norm(self.zero_mode_path, axis=1)))
@@ -60,29 +72,51 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
 
     On the flattened oversampled grid, each non-zero term of ``spec.plan``
     is one matrix product: its columns times u_a d_i u_b over the B slots,
-    or times the distinct monomials u_a u_b ... of p0..p3.  The result is
-    analysed back onto the working band (dealiased for the polynomial
-    degrees actually present).
+    or times the distinct monomials u_a u_b ... of p0..p3.  The products
+    run over equal point chunks, as many as leave the widest factor array
+    within ``besov.BATCH_BYTES``, each added into its slice of one output.
+    The result is analysed back onto the working band (dealiased for the
+    polynomial degrees actually present).
     """
+    if spec.dim != grid.dim:
+        raise ValueError("nonlinearity and field dimension mismatch")
+    if spec.dim_E != coeffs.shape[0]:
+        raise ValueError("nonlinearity and field component mismatch")
     if spec.has_cubic() and not grid.cubic_headroom():
         raise ValueError("cubic nonlinearity needs G >= 2M oversampling")
     if spec.has_quadratic() and not grid.quadratic_headroom():
         raise ValueError("quadratic nonlinearity needs G >= ceil(3M/2)")
     u_phys = synthesize_coeffs(coeffs, grid)            # (nE, G..)
-    sup_u = float(np.max(np.abs(u_phys))) if u_phys.size else 0.0
+    sup_u = float(np.abs(u_phys).max()) if u_phys.size else 0.0
     u = u_phys.reshape(len(u_phys), -1)
-    out = np.zeros_like(u)
-    for name, (cols, *slots) in spec.plan.items():
+    values = [u]                                    # then du, if B is present
+    if "B" in spec.plan:
+        du = grid.derivative_multipliers[:, None] * coeffs[None]
+        values.append(synthesize_coeffs(du, grid).reshape(grid.dim, len(u), -1))
+    out = np.zeros(u.shape, u.dtype)
+    n, width = u.shape[1], max(1, besov.BATCH_BYTES // (8 * spec.widest_term))
+    if n <= width:                          # one chunk, as at d = 1: no views
+        _contract(spec.plan, out, *values)
+    else:
+        # no one-point chunk: BLAS takes it as a matrix-vector product, which
+        # sums in another order, so the result would depend on the chunking
+        chunks = min(-(-n // width), n // 2)
+        for j in range(chunks):
+            part = slice(j * n // chunks, (j + 1) * n // chunks)
+            _contract(spec.plan, out[:, part], *[v[..., part] for v in values])
+    return analyze_values(out.reshape(u_phys.shape), grid), sup_u
+
+
+def _contract(plan: dict, out: np.ndarray, u: np.ndarray, du=None) -> None:
+    """out += each plan term's columns times its factor rows on these points."""
+    for name, (cols, *slots) in plan.items():
         if name == "B":
-            du = synthesize_coeffs(grid.derivative_multipliers[:, None] * coeffs[None],
-                                   grid).reshape(grid.dim, len(u), -1)
             factors = u[slots[1]] * du[slots[0], slots[2]]
         else:
             factors = np.ones((1, u.shape[1]))
             for slot in slots:
                 factors = factors * u[slot]
         out += cols @ factors
-    return analyze_values(out.reshape(u_phys.shape), grid), sup_u
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -110,10 +144,6 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     (t = 0 and t = t_end are always included).  u0 must be real.
     """
     grid = u0.grid
-    if spec.dim != grid.dim:
-        raise ValueError("nonlinearity and field dimension mismatch")
-    if spec.dim_E != u0.components:
-        raise ValueError("nonlinearity and field component mismatch")
     u0.require_real()
     h = config.t_end / config.steps
     centre = (slice(None),) + (grid.half_band,) * grid.dim
@@ -131,6 +161,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     zt = [0.0]
     zpath = [u[centre].real.copy()]
     status, blowup_time = "completed", None
+    sups = []
 
     def record_snapshot(step):
         if step in snap_steps:
@@ -140,11 +171,13 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     record_snapshot(0)
     for step in range(1, config.steps + 1):
         n0, sup_u = nonlinear_rhs_coeffs(u, grid, spec)
+        sups.append(sup_u)
         if not np.isfinite(sup_u) or sup_u > config.blowup_threshold:
             status, blowup_time = "blewup", (step - 1) * h
             break
         stage = decay * u + hphi1 * n0
-        n1, _ = nonlinear_rhs_coeffs(stage, grid, spec)
+        n1, sup_stage = nonlinear_rhs_coeffs(stage, grid, spec)
+        sups.append(sup_stage)
         u = stage + hphi2 * (n1 - n0)
         if not np.all(np.isfinite(u)):
             status, blowup_time = "blewup", step * h
@@ -154,7 +187,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
         record_snapshot(step)
 
     return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath),
-                      status, blowup_time)
+                      status, blowup_time, float(np.max(sups)))
 
 
 def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:

@@ -140,6 +140,15 @@ class TestInflation:
         b = _inflation_trial((cfg, 16, 1))
         assert a == b
 
+    def test_records_carry_solver_health(self):
+        cfg = ExperimentConfig.from_dict(tiny_doc())
+        rec = _inflation_trial((cfg, 8, 0))
+        for arm in ("adversarial", "control"):
+            assert type(rec[arm]["steps"]) is int
+            assert rec[arm]["steps"] == cfg.solve_config(8).steps
+            assert math.isfinite(rec[arm]["sup_max"]) and rec[arm]["sup_max"] > 0
+            assert None not in rec[arm].values()
+
     def test_thread_count_invariance(self):
         cfg1 = ExperimentConfig.from_dict(tiny_doc())
         cfg2 = ExperimentConfig.from_dict(tiny_doc(threads=2))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlheat import besov, solver
 from nlheat.field import (TorusGrid, analyze_values, dealias_points,
                           synthesize_coeffs)
 from nlheat.nonlinearity import NonlinearitySpec, preset
@@ -67,6 +68,7 @@ def test_random_spec_all_parts_match_einsum(dim):
     assert list(plan) == ["B", "p0", "p1", "p2", "p3"]
     assert plan["B"][0].shape == (3, dim * 9)
     assert plan["p2"][0].shape == (3, 6) and plan["p3"][0].shape == (3, 10)
+    assert spec.widest_term == max(dim * 9, 10)
     assert_matches_einsum(spec, 4, seed=dim)
 
 
@@ -77,6 +79,7 @@ def test_plan_keeps_only_nonzero_terms():
     # 90 non-zero (i, a, b) slots of B, each column one entry
     assert plan["B"][0].shape == (9, 90)
     assert np.count_nonzero(spec.B) == 90
+    assert spec.widest_term == 90
     cols, a, b, e = plan["p3"]
     assert cols.shape[0] == 9 and np.all(cols.any(axis=0))
     assert np.all(a <= b) and np.all(b <= e)
@@ -114,3 +117,32 @@ def test_cancelling_column_grid_size(keep_cubic):
         assert list(zip(*spec.plan["p3"][1:])) == [(0, 1, 1)]
     else:
         assert "p3" not in spec.plan
+
+
+CHUNK_SPECS = [("antisym2", 1, 16), ("antisym2", 2, 4), ("dym", 2, 4),
+               ("dym", 3, 2), ("dymh", 2, 4), ("random", 1, 4), ("random", 2, 4)]
+
+
+@pytest.mark.parametrize("name, dim, radius", CHUNK_SPECS)
+def test_chunked_rhs_is_bit_identical_to_one_chunk(monkeypatch, name, dim,
+                                                   radius):
+    spec = random_spec(dim, 3, seed=dim) if name == "random" else preset(name, dim)
+    M = 2 * radius + 1
+    grid = TorusGrid(dim, M, dealias_points(M, spec.has_cubic(), dim))
+    coeffs = real_coeffs(np.random.default_rng(radius), spec.dim_E, grid)
+    n = grid.points_per_axis ** dim
+    width = next(w for w in range(3, n) if n % w)           # does not divide n
+    calls = []
+    contract = solver._contract
+    monkeypatch.setattr(solver, "_contract",
+                        lambda *a: calls.append(a[2].shape[1]) or contract(*a))
+    results = {}
+    for budget in (2 ** 40, 1, 8 * spec.widest_term * width):
+        monkeypatch.setattr(besov, "BATCH_BYTES", budget)
+        calls.clear()
+        results[budget] = nonlinear_rhs_coeffs(coeffs, grid, spec)
+        assert sum(calls) == n and min(calls) >= 2
+        assert len(calls) == {2 ** 40: 1, 1: n // 2}.get(budget, -(-n // width))
+    one, *chunked = results.values()
+    for rhs, sup_u in chunked:
+        assert np.array_equal(rhs, one[0]) and sup_u == one[1]

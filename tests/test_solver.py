@@ -35,6 +35,28 @@ class TestConfig:
             SolveConfig(t_end=1.0, steps=4, blowup_threshold=-1.0)
 
 
+class TestMismatch:
+    """A spec for another dimension or component count fails loudly."""
+
+    def test_dimension(self):
+        grid = TorusGrid(3, 5, 10)
+        coeffs = np.zeros((2,) + grid.mode_shape, complex)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            nonlinear_rhs_coeffs(coeffs, grid, preset_antisym2(1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(SpectralField(grid, coeffs), preset_antisym2(1),
+                  SolveConfig(0.1, 2))
+
+    def test_components(self):
+        grid = TorusGrid(1, 9)
+        coeffs = np.zeros((3,) + grid.mode_shape, complex)
+        with pytest.raises(ValueError, match="component mismatch"):
+            nonlinear_rhs_coeffs(coeffs, grid, preset_antisym2(1))
+        with pytest.raises(ValueError, match="component mismatch"):
+            solve(SpectralField(grid, coeffs), preset_antisym2(1),
+                  SolveConfig(0.1, 2))
+
+
 class TestLinearFlow:
     @pytest.mark.parametrize("steps", [1, 7])
     def test_heat_flow_exact(self, steps):
@@ -165,6 +187,17 @@ class TestConsistency:
         assert traj.status == "blewup"
         assert traj.blowup_time is not None and traj.blowup_time < 0.3
         assert traj.times[-1] <= traj.blowup_time + 1e-12
+        assert traj.steps == round(traj.blowup_time / (0.5 / 2000))
+        assert traj.sup_max > 1e6
+
+    def test_health_of_a_completed_solve(self):
+        grid = TorusGrid(1, 33)
+        u0 = random_real(grid, components=2, seed=4)
+        traj = solve(u0, preset_antisym2(1), SolveConfig(0.01, 7))
+        assert traj.status == "completed" and traj.steps == 7
+        assert isinstance(traj.steps, int)
+        sup0 = nonlinear_rhs_coeffs(u0.coeffs, grid, preset_antisym2(1))[1]
+        assert traj.sup_max >= sup0 > 0
 
 
 class TestPicard:

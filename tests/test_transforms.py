@@ -31,6 +31,18 @@ def ref_synthesize(coeffs, grid, points=None):
     return sfft.ifftn(full, axes=tuple(range(-grid.dim, 0))) * G ** grid.dim
 
 
+def irfftn_synthesize(coeffs, grid, points=None):
+    """Synthesis before band pruning: the k_d >= 0 half cube scattered into
+    a zero (G,)*(d-1) + (K+1,) array, then one ``irfftn`` (d >= 2)."""
+    G = points or grid.points_per_axis
+    d, K = grid.dim, grid.half_band
+    half = np.zeros(coeffs.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
+    band = np.ix_(*[grid.wavenumbers % G] * (d - 1))
+    half[(Ellipsis, *band, slice(None))] = coeffs[..., K:]
+    return sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
+                       norm="forward")
+
+
 def ref_analyze(values, grid):
     G = values.shape[-1]
     full = sfft.fftn(np.asarray(values, complex),
@@ -60,6 +72,39 @@ def test_synthesis_matches_complex_path(dim, modes, points):
     got = synthesize_coeffs(coeffs, grid)
     assert got.dtype == np.float64 and got.shape == (2, 3) + (points,) * dim
     assert rel_err(got, ref_synthesize(coeffs, grid)) <= RTOL
+
+
+@pytest.mark.parametrize("dim, modes", [(2, 7), (2, 9), (3, 5), (3, 7)])
+@pytest.mark.parametrize("points", ["M", "odd", "even", "dense"])
+def test_pruned_synthesis_is_bit_identical_to_irfftn(dim, modes, points):
+    grid = TorusGrid(dim, modes, 2 * modes)
+    G = {"M": modes, "odd": modes + 2, "even": modes + 3,
+         "dense": besov._dense_points(grid)}[points]
+    coeffs = random_coeffs(np.random.default_rng(G), (2, 3), grid)
+    got = synthesize_coeffs(coeffs, grid, G)
+    assert got.shape == (2, 3) + (G,) * dim
+    assert np.array_equal(got, irfftn_synthesize(coeffs, grid, G))
+
+
+def test_dym_solve_is_bit_identical_to_irfftn_and_one_chunk(monkeypatch):
+    """A whole d=3 solve, chunked RHS (9 chunks at the default budget) and
+    pruned synthesis, against one chunk and the irfftn synthesis."""
+    spec = preset("dym", 3)
+    grid = TorusGrid(3, 9, dealias_points(9, cubic=True, dim=3))
+    assert 8 * spec.widest_term * grid.points_per_axis ** 3 > besov.BATCH_BYTES
+    u0 = SpectralField(grid, 0.05 * random_coeffs(np.random.default_rng(9),
+                                                  (spec.dim_E,), grid))
+    config = solver.SolveConfig(t_end=0.02, steps=6, snapshot_times=(0.01,))
+    new = solver.solve(u0, spec, config)
+    monkeypatch.setattr(solver, "synthesize_coeffs", irfftn_synthesize)
+    monkeypatch.setattr(besov, "BATCH_BYTES", 2 ** 40)
+    old = solver.solve(u0, spec, config)
+    assert new.status == old.status == "completed" and new.steps == 6
+    assert np.array_equal(new.zero_mode_path, old.zero_mode_path)
+    assert new.sup_max == old.sup_max
+    assert new.times == old.times and len(new.fields) == 3
+    for a, b in zip(new.fields, old.fields):
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 @pytest.mark.parametrize("dim, modes, points", GRIDS)
