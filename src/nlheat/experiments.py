@@ -186,7 +186,8 @@ def _inflation_trial(args):
     The data are u0 = x + eps (X + Y), with eps = ``experiment.epsilon``
     (default 1) and the constant x = ``experiment.base`` (default 0).
     ``u0_holder_eta`` is the distance |u0 - x|_{C^eta} = |eps (X + Y)|_{C^eta};
-    ``steps`` and ``sup_max`` are the solve's completed steps and largest sup|u|.
+    ``steps`` and ``sup_max`` are the solve's completed steps and largest
+    finite sup|u|.
     """
     cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()

@@ -86,11 +86,6 @@ class NonlinearitySpec:
                      for k in range(4))
         return {name: term for name, term in terms.items() if term[0].size}
 
-    @cached_property
-    def widest_term(self) -> int:
-        """Most factor rows (columns) of any one plan term; 1 for no terms."""
-        return max([cols.shape[1] for cols, *_ in self.plan.values()], default=1)
-
     def has_quadratic(self) -> bool:
         return "B" in self.plan or "p2" in self.plan
 

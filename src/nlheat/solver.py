@@ -11,7 +11,9 @@ an exponential-Euler step, and h phi2 (N(a) - N(u_t)) estimates its error.
 
 N(u) is evaluated on the oversampled grid as matrix products over point
 chunks, each chunk's factor arrays within ``besov.BATCH_BYTES`` so that they
-stay in cache; the result does not depend on the chunk width.
+stay in cache.  The result does not depend on the chunk width as long as
+BLAS sums each output column of a matrix product in an order that does not
+depend on the number of columns (OpenBLAS's dgemm does).
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class SolveConfig:
 @dataclass
 class Trajectory:
     """Snapshots, densely recorded zero-mode path, blow-up status, and the
-    largest sup|u| that any right-hand side evaluation saw."""
+    largest finite sup|u| that any right-hand side evaluation saw (an
+    overflowing blow-up's inf or NaN sup is left out, so it stays finite)."""
 
     times: list
     fields: list
@@ -94,8 +97,11 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
         du = grid.derivative_multipliers[:, None] * coeffs[None]
         values.append(synthesize_coeffs(du, grid).reshape(grid.dim, len(u), -1))
     out = np.zeros(u.shape, u.dtype)
-    n, width = u.shape[1], max(1, besov.BATCH_BYTES // (8 * spec.widest_term))
-    if n <= width:                          # one chunk, as at d = 1: no views
+    widest = max([cols.shape[1] for cols, *_ in spec.plan.values()], default=1)
+    n, width = u.shape[1], max(1, besov.BATCH_BYTES // (8 * widest))
+    # one chunk (every d = 1 grid): whole arrays, since the loop's views are
+    # a measurable share of a small RHS call
+    if n <= width:
         _contract(spec.plan, out, *values)
     else:
         # no one-point chunk: BLAS takes it as a matrix-vector product, which
@@ -187,7 +193,8 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
         record_snapshot(step)
 
     return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath),
-                      status, blowup_time, float(np.max(sups)))
+                      status, blowup_time,
+                      max((s for s in sups if np.isfinite(s)), default=0.0))
 
 
 def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:

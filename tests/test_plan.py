@@ -68,7 +68,6 @@ def test_random_spec_all_parts_match_einsum(dim):
     assert list(plan) == ["B", "p0", "p1", "p2", "p3"]
     assert plan["B"][0].shape == (3, dim * 9)
     assert plan["p2"][0].shape == (3, 6) and plan["p3"][0].shape == (3, 10)
-    assert spec.widest_term == max(dim * 9, 10)
     assert_matches_einsum(spec, 4, seed=dim)
 
 
@@ -79,7 +78,6 @@ def test_plan_keeps_only_nonzero_terms():
     # 90 non-zero (i, a, b) slots of B, each column one entry
     assert plan["B"][0].shape == (9, 90)
     assert np.count_nonzero(spec.B) == 90
-    assert spec.widest_term == 90
     cols, a, b, e = plan["p3"]
     assert cols.shape[0] == 9 and np.all(cols.any(axis=0))
     assert np.all(a <= b) and np.all(b <= e)
@@ -137,12 +135,18 @@ def test_chunked_rhs_is_bit_identical_to_one_chunk(monkeypatch, name, dim,
     monkeypatch.setattr(solver, "_contract",
                         lambda *a: calls.append(a[2].shape[1]) or contract(*a))
     results = {}
-    for budget in (2 ** 40, 1, 8 * spec.widest_term * width):
+    widest = max(cols.shape[1] for cols, *_ in spec.plan.values())
+    for budget in (2 ** 40, 1, 8 * widest * width):
         monkeypatch.setattr(besov, "BATCH_BYTES", budget)
         calls.clear()
         results[budget] = nonlinear_rhs_coeffs(coeffs, grid, spec)
         assert sum(calls) == n and min(calls) >= 2
         assert len(calls) == {2 ** 40: 1, 1: n // 2}.get(budget, -(-n // width))
+    # Exact equality pins a BLAS property as well as the chunking: each output
+    # column of cols @ factors is summed over the columns of cols in an order
+    # that does not depend on how many factor columns there are (true of
+    # OpenBLAS's dgemm).  On a BLAS that dispatches on the product size, a
+    # failure here need not mean the chunks are wrong.
     one, *chunked = results.values()
     for rhs, sup_u in chunked:
         assert np.array_equal(rhs, one[0]) and sup_u == one[1]

@@ -190,6 +190,27 @@ class TestConsistency:
         assert traj.steps == round(traj.blowup_time / (0.5 / 2000))
         assert traj.sup_max > 1e6
 
+    def test_overflowing_blowup_keeps_sup_max_finite(self, monkeypatch):
+        # du/dt = u^2 from u(0) = 1e160: u^2 overflows, so the stage is
+        # non-finite and its sup|u| is inf or NaN
+        import nlheat.solver as solver_module
+        seen, rhs = [], solver_module.nonlinear_rhs_coeffs
+
+        def recording_rhs(*args):
+            out = rhs(*args)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver_module, "nonlinear_rhs_coeffs", recording_rhs)
+        spec = NonlinearitySpec.from_parts(1, 1, p2=np.ones((1, 1, 1)))
+        u0 = SpectralField.constant(TorusGrid(1, 5), [1e160])
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = solve(u0, spec, SolveConfig(0.5, 20,
+                                               blowup_threshold=math.inf))
+        assert traj.status == "blewup" and traj.steps == 0
+        assert len(seen) == 2 and not np.isfinite(seen[1])
+        assert traj.sup_max == seen[0] == pytest.approx(1e160)
+
     def test_health_of_a_completed_solve(self):
         grid = TorusGrid(1, 33)
         u0 = random_real(grid, components=2, seed=4)
