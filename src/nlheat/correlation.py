@@ -7,7 +7,8 @@ The central scalar is
 for a real scalar field X: it equals the spatial mean of
 (P_t RX) d_1 (P_t X), with R the phase rotation.  Its expectation and the
 time integral of the induced drift are exact finite sums over the mode
-lattice, compressed here by bucketing modes on the integer values of n^2.
+lattice, compressed here by bucketing modes on the integer values of n^2
+(at d >= 2 with lattice-point counts from one ``scipy.fft`` spectrum power).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 from .besov import holder_norms_batch
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
@@ -78,19 +79,13 @@ def geometric_grid(t_max: float, t_min: float,
 
 @lru_cache(maxsize=64)
 def _perp_square_counts(dim_perp: int, max_r2: int) -> np.ndarray:
-    """counts[j] = #{m in Z^dim_perp : |m|^2 = j} for j <= max_r2."""
-    if dim_perp == 0:
-        out = np.zeros(max_r2 + 1)
-        out[0] = 1.0
-        return out
+    """counts[j] = #{m in Z^dim_perp : |m|^2 = j} for j <= max_r2, dim_perp >= 1:
+    the dim_perp-th power of 1 + 2 sum_a x^(a^2), by an FFT too long to wrap."""
     one = np.zeros(max_r2 + 1)
     one[0] = 1.0
-    for a in range(1, int(math.isqrt(max_r2)) + 1):
-        one[a * a] = 2.0
-    counts = one
-    for _ in range(dim_perp - 1):
-        counts = fftconvolve(counts, one)[: max_r2 + 1]
-    return np.rint(counts)
+    one[np.arange(1, math.isqrt(max_r2) + 1) ** 2] = 2.0
+    n = sfft.next_fast_len(dim_perp * max_r2 + 1, real=True)
+    return np.rint(sfft.irfft(sfft.rfft(one, n) ** dim_perp, n)[: max_r2 + 1])
 
 
 @lru_cache(maxsize=64)
@@ -104,12 +99,12 @@ def mode_weight_table(profile: VarianceProfile, dim: int,
     2 n_1 and sigma^2 depend on n only through n_1 and |n|^2.
     """
     r2max = radius * radius
-    perp = _perp_square_counts(dim - 1, r2max)
     weights = np.zeros(r2max + 1)
-    if dim == 1:                    # perp is the single count perp[0] = 1
+    if dim == 1:
         n1 = np.arange(1, radius + 1)
         weights[n1 * n1] = 2.0 * n1
     else:
+        perp = _perp_square_counts(dim - 1, r2max)
         for n1 in range(1, radius + 1):
             top = r2max - n1 * n1
             weights[n1 * n1: n1 * n1 + top + 1] += 2.0 * n1 * perp[: top + 1]
@@ -119,29 +114,31 @@ def mode_weight_table(profile: VarianceProfile, dim: int,
     return s[keep].astype(float), wsig[keep]
 
 
-def expected_Zt(profile: VarianceProfile, dim: int, t,
-                radius: int | None = None) -> np.ndarray | float:
-    """E Z_t = sum_{n_1>0, |n|<=N} 2 exp(-2 n^2 t) n_1 sigma^2(n), exact."""
+def _lattice_sum(profile: VarianceProfile, dim: int, t, radius,
+                 kernel) -> np.ndarray | float:
+    """``kernel(t n^2, n^2, weights)`` over the weight table: one sum per t >= 0."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
     N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
     s, w = mode_weight_table(profile, dim, N)
-    out = np.exp(-2.0 * np.multiply.outer(t_arr, s)) @ w
+    out = kernel(np.multiply.outer(t_arr, s), s, w)
     return out if np.ndim(t) else float(out[0])
+
+
+def expected_Zt(profile: VarianceProfile, dim: int, t,
+                radius: int | None = None) -> np.ndarray | float:
+    """E Z_t = sum_{n_1>0, |n|<=N} 2 exp(-2 n^2 t) n_1 sigma^2(n), exact."""
+    return _lattice_sum(profile, dim, t, radius,
+                        lambda ts, s, w: np.exp(-2.0 * ts) @ w)
 
 
 def drift_scalar(profile: VarianceProfile, dim: int, t,
                  radius: int | None = None) -> np.ndarray | float:
     """Exact per-mode time integral of E Z:
     sum 2 n_1 sigma^2(n) (1 - exp(-2 n^2 t)) / (2 n^2)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise ValueError("t must be >= 0")
-    N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
-    s, w = mode_weight_table(profile, dim, N)
-    out = -np.expm1(-2.0 * np.multiply.outer(t_arr, s)) @ (w / (2.0 * s))
-    return out if np.ndim(t) else float(out[0])
+    return _lattice_sum(profile, dim, t, radius,
+                        lambda ts, s, w: -np.expm1(-2.0 * ts) @ (w / (2.0 * s)))
 
 
 def compute_Zt(field: SpectralField, t) -> np.ndarray | float:
@@ -324,8 +321,7 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     prod = synthesize_coeffs(xa, grid) * synthesize_coeffs(yb, grid)
     coeffs = analyze_values(prod, grid)                          # (T, M..)
     if remove_mean:
-        centre = (slice(None),) + (grid.half_band,) * grid.dim
-        coeffs[centre] = 0.0
+        coeffs[grid.zero_mode_index] = 0.0
     norms = holder_norms_batch(coeffs, grid, beta)
     return float(np.max(t_grid ** delta * norms))
 
@@ -353,56 +349,51 @@ class TrendReport:
         return cls(radii, samples, means, q90, slope)
 
 
+def _coupled_trend(profile_for_N, dim: int, params: ParameterSet, trials: int,
+                   radii, master_seed: int, statistic) -> TrendReport:
+    """Per-trial ``statistic(X^N, N)`` for each cutoff N in ``radii``.
+
+    Per trial, one X is sampled at the largest cutoff and the smaller
+    cutoffs are its band truncations X^N = Pi_N X, exactly as the finite
+    series is defined; the coupling keeps the per-N laws exact while
+    cancelling most of the Monte Carlo noise in the trend.
+    """
+    params.check_dim(dim)
+    radii = sorted(int(N) for N in radii)
+    top = radii[-1]
+    grid = TorusGrid(dim, 2 * top + 1)
+    prof = profile_for_N(top)
+    samples = {N: np.empty(trials) for N in radii}
+    for trial in range(trials):
+        X = sample_real_gfs(prof, grid, stream(master_seed, trial, 0))
+        for N in radii:
+            samples[N][trial] = statistic(X.project_band(N), N)
+    return TrendReport.from_samples(samples)
+
+
 def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
                                    params: ParameterSet, axis: int,
                                    trials: int, radii, master_seed: int,
                                    remove_mean: bool = True) -> TrendReport:
-    """Trend of sup_t t^delta |pi_0(P_t X d_i P_t Y)|_{C^beta} across N.
-
-    Per trial, one pair is sampled at the largest cutoff and the smaller
-    cutoffs are its band truncations X^N = Pi_N X, exactly as the finite
-    series is defined; the coupling keeps the per-N laws exact while
-    cancelling most of the Monte Carlo noise in the trend.  The only pair
-    ``kind`` is ``"adversarial"``: Y is the phase rotation of X.
-    """
+    """Trend of sup_t t^delta |pi_0(P_t X d_i P_t Y)|_{C^beta} across N, coupled
+    as in ``_coupled_trend``; ``kind`` must be ``"adversarial"``: Y = RX."""
     if kind != "adversarial":
         raise ValueError(f"unknown pair kind {kind!r}")
-    params.check_dim(dim)
     t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
-    radii = sorted(int(N) for N in radii)
-    top = radii[-1]
-    grid = TorusGrid(dim, 2 * top + 1)
-    prof = profile_for_N(top)
-    samples = {N: np.empty(trials) for N in radii}
-    for trial in range(trials):
-        X = sample_real_gfs(prof, grid, stream(master_seed, trial, 0))
-        Y = X.rotate()
-        for N in radii:
-            samples[N][trial] = decorrelated_statistic(
-                X.project_band(N), Y.project_band(N), axis,
-                params.delta, params.beta, t_grid, remove_mean)
-    return TrendReport.from_samples(samples)
+    return _coupled_trend(
+        profile_for_N, dim, params, trials, radii, master_seed,
+        lambda X, N: decorrelated_statistic(X, X.rotate(), axis, params.delta,
+                                            params.beta, t_grid, remove_mean))
 
 
 def moment_experiment_Z(profile_for_N, dim: int, params: ParameterSet,
                         trials: int, radii, master_seed: int) -> TrendReport:
-    """Trend of sup_t t^delta (Z_t - E Z_t) across N (expected flat).
-
-    Coupled across N by band truncation of one sample, as above.
-    """
-    params.check_dim(dim)
+    """Trend of sup_t t^delta (Z_t - E Z_t) across N (expected flat), coupled
+    as in ``_coupled_trend``."""
     t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
-    radii = sorted(int(N) for N in radii)
-    top = radii[-1]
-    grid = TorusGrid(dim, 2 * top + 1)
-    prof = profile_for_N(top)
-    centred = {N: expected_Zt(profile_for_N(N), dim, t_grid, radius=N)
-               for N in radii}
-    samples = {N: np.empty(trials) for N in radii}
-    for trial in range(trials):
-        X = sample_real_gfs(prof, grid, stream(master_seed, trial, 0))
-        for N in radii:
-            z = compute_Zt(X.project_band(N), t_grid)
-            samples[N][trial] = float(
-                np.max(t_grid ** params.delta * (z - centred[N])))
-    return TrendReport.from_samples(samples)
+    mean = {int(N): expected_Zt(profile_for_N(int(N)), dim, t_grid, radius=int(N))
+            for N in radii}
+    return _coupled_trend(
+        profile_for_N, dim, params, trials, radii, master_seed,
+        lambda X, N: float(np.max(t_grid ** params.delta
+                                  * (compute_Zt(X, t_grid) - mean[N]))))

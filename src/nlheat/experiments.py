@@ -39,7 +39,8 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-_PROFILE_KEYS = ("kind", "gamma", "log_theta", "loglog_eta", "k0", "floor")
+_PROFILE_KEYS = {"white": (), "power": ("gamma",),
+                 "powerlog": ("log_theta", "loglog_eta", "k0", "floor")}
 _SOLVER_KEYS = ("step_factor", "blowup_threshold", "snapshots")
 _EXPERIMENT_KEYS = ("radii", "trials", "log_exponent", "epsilon", "base",
                     "reference_radius", "q", "alpha", "t_min", "t_max",
@@ -79,7 +80,10 @@ class ExperimentConfig:
         grid = doc.get("grid", {})
         _check_keys(grid, ("dim",), "grid")
         profile = dict(doc.get("profile", {"kind": "white"}))
-        _check_keys(profile, _PROFILE_KEYS, "profile")
+        pkind = profile.get("kind", "white")
+        if pkind not in _PROFILE_KEYS:
+            raise ConfigError(f"unknown profile kind {pkind!r}")
+        _check_keys(profile, ("kind",) + _PROFILE_KEYS[pkind], f"{pkind} profile")
         nl = dict(doc.get("nonlinearity", {"preset": "antisym2"}))
         _check_keys(nl, ("preset", "algebra"), "nonlinearity")
         pair = doc.get("pair", {})
@@ -255,6 +259,16 @@ def _besov_trial(args):
     return out
 
 
+def _moment_trend(args):
+    """The decorrelated (``z`` False) or centred-Z moment trend of ``run_tables``."""
+    cfg, z, radii, trials = args
+    prof_for, params = cfg.profile_for, cfg.parameter_set()
+    if z:
+        return moment_experiment_Z(prof_for, cfg.dim, params, trials, radii, cfg.seed)
+    return moment_experiment_decorrelated(prof_for, cfg.dim, "adversarial", params, 0,
+                                          trials, radii, cfg.seed)
+
+
 def _map_trials(worker, tasks, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
@@ -367,7 +381,8 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     """All bound-verification tables in one deterministic report.
 
     Writes ez_bounds.csv, it_bounds.csv, moments.csv, partition.csv under
-    the output directory and returns the pass/fail flags.
+    the output directory and returns the pass/fail flags.  The two moment
+    experiments run as two tasks, in two processes when ``threads`` > 1.
     """
     out = Path(out_dir or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -376,33 +391,26 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     t_grid = geometric_grid(float(exp.get("t_max", 1e-1)),
                             float(exp.get("t_min", 1e-4)),
                             int(exp.get("per_decade", 40)))
-    dim = cfg.dim
-    prof_for = cfg.profile_for
     log_corrected = cfg.profile.get("kind") == "powerlog"
 
-    ez = verify_EZt_bounds(prof_for, dim, radii, t_grid,
+    ez = verify_EZt_bounds(cfg.profile_for, cfg.dim, radii, t_grid,
                            log_corrected=log_corrected)
     write_csv(out / "ez_bounds.csv", ["radius", "upper_ratio", "lower_ratio"],
               list(ez.rows()))
 
-    nl = cfg.nonlinearity_spec()
-    a, b = cfg.pair
-    direction = drift_direction(nl, a, b)
-    it = verify_It_bounds(prof_for, dim, direction, radii, t_grid)
-    it_rows = list(it.rows())
+    direction = drift_direction(cfg.nonlinearity_spec(), *cfg.pair)
+    it = verify_It_bounds(cfg.profile_for, cfg.dim, direction, radii, t_grid)
     write_csv(out / "it_bounds.csv", ["radius", "upper_ratio", "lower_ratio"],
-              it_rows)
+              list(it.rows()))
     int_rows = [(f"a={abp[0]},b={abp[1]},p={abp[2]}", N, r)
                 for abp, d in it.integral_ratio.items()
                 for N, r in sorted(d.items())]
     write_csv(out / "it_integral.csv", ["exponents", "radius", "ratio"],
               int_rows)
 
-    params = cfg.parameter_set()
     trials = int(exp.get("trials", 20))
-    dec = moment_experiment_decorrelated(
-        prof_for, dim, "adversarial", params, 0, trials, radii, cfg.seed)
-    zexp = moment_experiment_Z(prof_for, dim, params, trials, radii, cfg.seed)
+    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, trials)
+                                            for z in (False, True)], cfg.threads)
     mom_rows = [("decorrelated", N, dec.means[N], dec.q90[N]) for N in dec.radii]
     mom_rows += [("z_centred", N, zexp.means[N], zexp.q90[N]) for N in zexp.radii]
     mom_rows += [("decorrelated_slope", "", dec.slope, ""),
@@ -410,9 +418,7 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     write_csv(out / "moments.csv", ["statistic", "radius", "mean", "q90"],
               mom_rows)
 
-    part = DyadicPartition()
-    grid = TorusGrid(min(dim, 2), 33, 34)
-    mult = part.multipliers(grid)
+    mult = DyadicPartition().multipliers(TorusGrid(min(cfg.dim, 2), 33, 34))
     partition_defect = float(np.max(np.abs(mult.sum(axis=0) - 1.0)))
     write_csv(out / "partition.csv", ["check", "value"],
               [("partition_of_unity_defect", partition_defect)])

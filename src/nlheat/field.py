@@ -75,6 +75,11 @@ class TorusGrid:
         return (self.modes_per_axis - 1) // 2
 
     @cached_property
+    def zero_mode_index(self) -> tuple:
+        """Index of the k = 0 coefficients of a (components, M, ..., M) stack."""
+        return (slice(None),) + (self.half_band,) * self.dim
+
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         """1d integer wavenumbers -K..K (the storage order of each k axis)."""
         return np.arange(-self.half_band, self.half_band + 1)
@@ -143,8 +148,7 @@ class SpectralField:
     def constant(cls, grid: TorusGrid, values) -> "SpectralField":
         values = np.atleast_1d(np.asarray(values, dtype=complex))
         field = cls.zero(grid, len(values))
-        centre = (slice(None),) + (grid.half_band,) * grid.dim
-        field.coeffs[centre] = values
+        field.coeffs[grid.zero_mode_index] = values
         return field
 
     @classmethod
@@ -164,13 +168,13 @@ class SpectralField:
         flipped = np.flip(self.coeffs, axis=tuple(range(1, self.coeffs.ndim)))
         return float(np.max(np.abs(self.coeffs - np.conj(flipped))))
 
-    def is_real(self, tol: float = REALITY_TOL) -> bool:
+    def is_real(self) -> bool:
         scale = 1.0 + float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 1.0
-        return self.reality_defect() <= tol * scale
+        return self.reality_defect() <= REALITY_TOL * scale
 
-    def require_real(self, tol: float = REALITY_TOL) -> None:
+    def require_real(self) -> None:
         """Raise ValueError unless the field is real (see :meth:`is_real`)."""
-        if not self.is_real(tol):
+        if not self.is_real():
             raise ValueError(f"field is not real (defect {self.reality_defect():.2e})")
 
     # -- linear operators ----------------------------------------------------
@@ -197,20 +201,18 @@ class SpectralField:
         mask = self.grid.k_squared <= radius * radius + 1e-9
         return SpectralField(self.grid, np.where(mask, self.coeffs, 0.0))
 
-    def zero_mode(self, tol: float = REALITY_TOL) -> np.ndarray:
+    def zero_mode(self) -> np.ndarray:
         """Spatial mean (f^a_0)_a as a real vector in E."""
-        centre = (slice(None),) + (self.grid.half_band,) * self.grid.dim
-        vals = self.coeffs[centre]
+        vals = self.coeffs[self.grid.zero_mode_index]
         scale = 1.0 + float(np.max(np.abs(self.coeffs)))
-        if np.max(np.abs(vals.imag)) > tol * scale:
+        if np.max(np.abs(vals.imag)) > REALITY_TOL * scale:
             raise ValueError("zero mode has non-negligible imaginary part")
         return vals.real.copy()
 
     def remove_mean(self) -> "SpectralField":
         """Project onto zero-mean fields (zero the k=0 coefficient)."""
         out = self.coeffs.copy()
-        centre = (slice(None),) + (self.grid.half_band,) * self.grid.dim
-        out[centre] = 0.0
+        out[self.grid.zero_mode_index] = 0.0
         return SpectralField(self.grid, out)
 
     def rotate(self) -> "SpectralField":

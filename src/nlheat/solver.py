@@ -152,7 +152,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     grid = u0.grid
     u0.require_real()
     h = config.t_end / config.steps
-    centre = (slice(None),) + (grid.half_band,) * grid.dim
+    centre = grid.zero_mode_index
     k2 = grid.k_squared
     decay = np.exp(-k2 * h)
     z = -k2 * h
@@ -204,10 +204,9 @@ def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:
     """
     out = []
     grid = u0.grid
-    centre = (slice(None),) + (grid.half_band,) * grid.dim
     for t, f in zip(trajectory.times, trajectory.fields):
         coeffs = f.coeffs - u0.heat(t).coeffs
-        coeffs[centre] -= np.asarray(drift(t), dtype=complex)
+        coeffs[grid.zero_mode_index] -= np.asarray(drift(t), dtype=complex)
         out.append(SpectralField(grid, coeffs))
     return out
 

@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nlheat
 from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
@@ -75,7 +80,7 @@ class TestExactSums:
         assert abs(got - direct) < 1e-12 * (1 + direct)
 
     @pytest.mark.parametrize("dim, radius", [(1, 1), (1, 7), (2, 4), (2, 6),
-                                             (3, 3), (3, 5)])
+                                             (3, 3), (3, 5), (4, 3)])
     def test_weight_table_matches_direct_lattice(self, dim, radius):
         # exact: the weights are integer sums times sigma^2 at each n^2
         prof = VarianceProfile.power_log(dim, radius, -1.0, -1.0)
@@ -217,3 +222,12 @@ class TestStatistics:
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-10
         with pytest.raises(ValueError):
             geometric_grid(1e-3, 1.0)
+
+
+def test_import_leaves_scipy_signal_out():
+    # the lattice counts need scipy.fft only; scipy.signal alone costs ~1 s
+    env = {**os.environ, "PYTHONPATH": str(Path(nlheat.__file__).parents[1])}
+    code = "import sys, nlheat; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -83,6 +83,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(tiny_doc(kind="explode"))
 
+    @pytest.mark.parametrize("profile, key", [
+        ({"kind": "white", "gamma": -2.0}, "gamma"),
+        ({"kind": "power", "gamma": 0.5, "floor": 2.0}, "floor"),
+        ({"kind": "powerlog", "log_theta": -1.0, "gamma": 1.0}, "gamma")])
+    def test_profile_keys_the_kind_never_reads_are_rejected(
+            self, tmp_path, capsys, profile, key):
+        doc = tiny_doc(profile=profile)
+        with pytest.raises(ConfigError, match=f"{profile['kind']} profile.*{key}"):
+            ExperimentConfig.from_dict(doc)
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["inflate", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_unknown_profile_kind_rejected(self):
+        with pytest.raises(ConfigError, match="profile kind"):
+            ExperimentConfig.from_dict(tiny_doc(profile={"kind": "pink"}))
+
     @pytest.mark.parametrize("kind", ["identities", "moments"])
     def test_kinds_nothing_runs_are_rejected(self, kind):
         with pytest.raises(ConfigError, match="kind"):
@@ -365,6 +384,19 @@ class TestTables:
                      "partition.csv", "flags.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    def test_moment_experiments_are_two_tasks_at_the_thread_count(
+            self, tmp_path, monkeypatch):
+        calls = []
+        real = experiments._map_trials
+
+        def spy(worker, tasks, threads):
+            calls.append((worker, len(tasks), threads))
+            return real(worker, tasks, threads)
+        monkeypatch.setattr(experiments, "_map_trials", spy)
+        cfg = ExperimentConfig.from_dict({**self.base_doc(), "threads": 2})
+        run_tables(cfg, tmp_path)
+        assert calls == [(experiments._moment_trend, 2, 2)]
 
     def test_growing_profile_trips_upper_flag(self, tmp_path):
         doc = self.base_doc()
