@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (ConfigError, ExperimentConfig, _trial_grid,
-                          run_besov_convergence, run_inflation,
-                          run_perturbed_inflation, run_remainder_tracking,
-                          run_tables, write_csv, write_records_jsonl)
+                          run_besov_convergence, run_inflation, run_tables,
+                          trial_faults, write_csv, write_records_jsonl)
 from .gfsf import write_field
 from .identities import run_identity_suite
 from .sampling import GfsSpec, sample_E_valued, stream
@@ -40,35 +38,12 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _strip_records(summary: dict) -> dict:
-    return {k: v for k, v in summary.items() if k != "records"}
-
-
 def _emit(summary: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if "records" in summary:
-        write_records_jsonl(out_dir / "records.jsonl", summary["records"])
-    (out_dir / "summary.json").write_text(
-        json.dumps(_strip_records(summary), sort_keys=True, indent=2,
-                   default=str) + "\n")
-
-
-def _trials_sound(summary: dict) -> bool:
-    """Say at which radius a median is not finite or more than half of the
-    trials of an arm blew up; True when neither happens at any radius."""
-    ok = True
-    for N, e in summary["per_radius"].items():
-        a, c = e["blowups"], e["control_blowups"]
-        if not all(math.isfinite(v) for k, v in e.items() if k.endswith("median")):
-            print(f"N={N}: non-finite median ({a} adversarial and "
-                  f"{c} control trials blew up)")
-            ok = False
-        n = sum(r["radius"] == N for r in summary["records"])
-        if 2 * max(a, c) > n:
-            print(f"N={N}: {a} of {n} adversarial and {c} of {n} control "
-                  f"trials blew up")
-            ok = False
-    return ok
+    write_records_jsonl(out_dir / "records.jsonl", summary["records"])
+    (out_dir / "summary.json").write_text(json.dumps(
+        {k: v for k, v in summary.items() if k != "records"}, sort_keys=True,
+        indent=2, default=str) + "\n")
 
 
 def _first_data(cfg: ExperimentConfig):
@@ -104,46 +79,32 @@ def cmd_solve(args) -> int:
             zip(traj.zero_mode_times, traj.zero_mode_path)]
     write_csv(out / "zero_mode.csv",
               ["t"] + [f"z{c}" for c in range(nl.dim_E)], rows)
-    print(f"solve: status={traj.status} steps={len(traj.zero_mode_times) - 1} "
+    print(f"solve: status={traj.status} steps={traj.steps} "
           f"zero_mode_sup={traj.zero_mode_sup():.6g}")
     return 0 if traj.status == "completed" else 1
 
 
-def cmd_inflate(args) -> int:
+def cmd_inflation(args) -> int:
+    """``inflate``, ``perturb`` and ``remainder``: one run, one verdict."""
     cfg = _load_config(args)
     summary = run_inflation(cfg)
     out = Path(cfg.out)
     _emit(summary, out)
-    radii = summary["radii"]
-    rows, adv = [], []
-    for N in radii:
-        e = summary["per_radius"][N]
-        rows.append((N, e["adversarial_median"], e["control_median"],
-                     e["ratio"], e["blowups"]))
-        adv.append(e["adversarial_median"])
-        print(f"N={N}: adversarial={e['adversarial_median']:.6g} "
-              f"control={e['control_median']:.6g} ratio={e['ratio']:.3g}")
-    write_csv(out / "inflation.csv",
-              ["radius", "adversarial_median", "control_median", "ratio",
-               "blowups"], rows)
-    increasing = all(b > a for a, b in zip(adv, adv[1:]))
-    print(f"adversarial medians increasing: {increasing}")
-    return 0 if _trials_sound(summary) and increasing else 1
-
-
-def cmd_perturb(args) -> int:
-    cfg = _load_config(args)
-    summary = run_perturbed_inflation(cfg)
-    out = Path(cfg.out)
-    _emit(summary, out)
-    adv = []
-    for N in summary["radii"]:
-        e = summary["per_radius"][N]
-        adv.append(e["adversarial_median"])
-        print(f"N={N}: adversarial={e['adversarial_median']:.6g} "
-              f"distance={e['distance_median']:.6g}")
-    increasing = all(b > a for a, b in zip(adv, adv[1:]))
-    return 0 if _trials_sound(summary) and increasing else 1
+    per_radius = [(N, summary["per_radius"][N]) for N in summary["radii"]]
+    for name, keys in (("inflation.csv", ("adversarial_median", "control_median",
+                                          "ratio", "blowups")),
+                       ("remainder.csv", ("remainder_median", "drift_final_median"))):
+        write_csv(out / name, ["radius", *keys],
+                  [(N, *(e[k] for k in keys)) for N, e in per_radius])
+    for N, e in per_radius:
+        print(f"N={N}: shift adversarial={e['adversarial_shift_median']:.6g} "
+              f"control={e['control_shift_median']:.6g} |I_T|="
+              f"{e['drift_final_median']:.6g} remainder={e['remainder_median']:.6g}")
+    for line in trial_faults(summary):
+        print(line)
+    for name, ok in summary["verdict"].items():
+        print(f"{name}: {'pass' if ok else 'FAIL'}")
+    return 0 if all(summary["verdict"].values()) else 1
 
 
 def cmd_besov(args) -> int:
@@ -157,25 +118,6 @@ def cmd_besov(args) -> int:
         print(f"N={N}: median cauchy norm={summary['medians'][N]:.6g}")
     print(f"decreasing: {summary['decreasing']}")
     return 0 if summary["decreasing"] else 1
-
-
-def cmd_remainder(args) -> int:
-    cfg = _load_config(args)
-    summary = run_remainder_tracking(cfg)
-    out = Path(cfg.out)
-    _emit(summary, out)
-    rows = []
-    for N in summary["radii"]:
-        e = summary["per_radius"][N]
-        rows.append((N, e["remainder_median"], e["drift_final_median"]))
-        print(f"N={N}: remainder={e['remainder_median']:.6g} "
-              f"|I_T|={e['drift_final_median']:.6g}")
-    write_csv(out / "remainder.csv",
-              ["radius", "remainder_median", "drift_final_median"], rows)
-    ok = summary["remainder_spread"] < 1.5 and summary["drift_growing"]
-    print(f"remainder spread={summary['remainder_spread']:.3g} "
-          f"drift growing={summary['drift_growing']}")
-    return 0 if _trials_sound(summary) and ok else 1
 
 
 def cmd_tables(args) -> int:
@@ -200,10 +142,10 @@ def cmd_identities(args) -> int:
 COMMANDS = {
     "sample": cmd_sample,
     "solve": cmd_solve,
-    "inflate": cmd_inflate,
-    "perturb": cmd_perturb,
+    "inflate": cmd_inflation,
+    "perturb": cmd_inflation,
     "besov": cmd_besov,
-    "remainder": cmd_remainder,
+    "remainder": cmd_inflation,
     "tables": cmd_tables,
     "identities": cmd_identities,
 }

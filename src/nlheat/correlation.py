@@ -98,17 +98,17 @@ def mode_weight_table(profile: VarianceProfile, dim: int,
     Valid for radial profiles; exact because both the half-space weight
     2 n_1 and sigma^2 depend on n only through n_1 and |n|^2.
     """
-    r2max = radius * radius
-    weights = np.zeros(r2max + 1)
     if dim == 1:
         n1 = np.arange(1, radius + 1)
-        weights[n1 * n1] = 2.0 * n1
+        s, weights = n1 * n1, 2.0 * n1
     else:
+        r2max = radius * radius
         perp = _perp_square_counts(dim - 1, r2max)
+        weights = np.zeros(r2max + 1)
         for n1 in range(1, radius + 1):
             top = r2max - n1 * n1
             weights[n1 * n1: n1 * n1 + top + 1] += 2.0 * n1 * perp[: top + 1]
-    s = np.arange(r2max + 1)
+        s = np.arange(r2max + 1)
     wsig = weights * profile.sigma2_from_r2(s.astype(float))
     keep = wsig != 0.0
     return s[keep].astype(float), wsig[keep]
@@ -153,24 +153,6 @@ def compute_Zt(field: SpectralField, t) -> np.ndarray | float:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.exp(-2.0 * np.multiply.outer(t_arr, n2)) @ (2.0 * k1[pos] * mags)
     return out if np.ndim(t) else float(out[0])
-
-
-def Z_variance(profile: VarianceProfile, dim: int, t: float,
-               radius: int | None = None) -> float:
-    """Var Z_t = sum_{n_1>0} 4 exp(-4 n^2 t) n_1^2 sigma^4(n), exact.
-
-    Uses Var |X_n|^2 = sigma^4(n) for the complex half-space Gaussians.
-    Computed by direct lattice enumeration (diagnostic scale only).
-    """
-    N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
-    axes = [np.arange(-N, N + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    n1 = mesh[0].ravel().astype(float)
-    n2 = sum(m.ravel().astype(float) ** 2 for m in mesh)
-    keep = (n1 > 0) & (n2 <= N * N + 1e-9)
-    sig2 = profile.sigma2_from_r2(n2[keep])
-    return float(np.sum(4.0 * np.exp(-4.0 * n2[keep] * t)
-                        * n1[keep] ** 2 * sig2 ** 2))
 
 
 # -- bound reports -------------------------------------------------------------

@@ -202,14 +202,11 @@ def _inflation_trial(args):
     nc = nl.dim_E
     epsilon, base = cfg.epsilon(), _base_point(cfg, nc)
 
-    def xs():
-        return [stream(cfg.seed, trial, c) for c in range(nc)]
+    def streams(first):     # X uses streams 0..nc-1, both Y arms nc..2nc-1
+        return [stream(cfg.seed, trial, first + c) for c in range(nc)]
 
-    def ys():
-        return [stream(cfg.seed, trial, nc + c) for c in range(nc)]
-
-    X, Y_adv = build_adversarial_pair(spec, a, b, xs(), ys())
-    Y_ctl = sample_E_valued(spec, ys())
+    X, Y_adv = build_adversarial_pair(spec, a, b, streams(0), streams(nc))
+    Y_ctl = sample_E_valued(spec, streams(nc))
 
     params = cfg.parameter_set()
     solve_cfg = cfg.solve_config(radius)
@@ -227,6 +224,7 @@ def _inflation_trial(args):
         rec = {
             "status": traj.status,
             "zero_mode_sup": traj.zero_mode_sup(),
+            "zero_mode_shift": traj.zero_mode_shift(),
             "u0_holder_eta": holder_norm(pert, params.eta),
             "steps": traj.steps,
             "sup_max": traj.sup_max,
@@ -279,23 +277,27 @@ def _map_trials(worker, tasks, threads: int) -> list:
 # -- experiment drivers --------------------------------------------------------
 
 def run_inflation(cfg: ExperimentConfig) -> dict:
-    """Adversarial-vs-control zero-mode growth across the cutoff list.
+    """Adversarial-vs-control zero-mode growth across the cutoff list, the
+    one runner of ``inflate``, ``perturb`` and ``remainder``.
 
-    Returns per-radius blow-up counts and medians over completed trials for
-    both arms, the adversarial remainder statistics, and all trial records.
+    Per radius: trial and blow-up counts, medians over completed trials
+    (and, for ``distance_median``, over all trials). Then the remainder
+    spread, whether |I_T| grows, the ``inflation_verdict`` and the records.
     """
     nl = cfg.nonlinearity_spec()
     if asymmetry_witness(nl) is None:
         raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
     _base_point(cfg, nl.dim_E)          # a bad base fails before any trial
+    radii = cfg.radii()
     records = []
-    for radius in cfg.radii():
+    for radius in radii:
         tasks = [(cfg, radius, t) for t in range(cfg.trials())]
         records.extend(_map_trials(_inflation_trial, tasks, cfg.threads))
     records.sort(key=lambda r: (r["radius"], r["trial"]))
 
-    summary = {"kind": cfg.kind, "radii": cfg.radii(), "per_radius": {}}
-    for radius in cfg.radii():
+    summary = {"kind": cfg.kind, "epsilon": cfg.epsilon(), "radii": radii,
+               "per_radius": {}}
+    for radius in radii:
         rows = [r for r in records if r["radius"] == radius]
         def med(arm, key):      # NaN, without a warning, when none completed
             vals = [r[arm][key] for r in rows if r[arm]["status"] == "completed"]
@@ -303,30 +305,82 @@ def run_inflation(cfg: ExperimentConfig) -> dict:
         entry = {
             "adversarial_median": med("adversarial", "zero_mode_sup"),
             "control_median": med("control", "zero_mode_sup"),
+            "adversarial_shift_median": med("adversarial", "zero_mode_shift"),
+            "control_shift_median": med("control", "zero_mode_shift"),
             "remainder_median": med("adversarial", "remainder_sup"),
             "drift_final_median": med("adversarial", "drift_final"),
+            "distance_median": float(np.median(
+                [r["adversarial"]["u0_holder_eta"] for r in rows])),
             "blowups": sum(r["adversarial"]["status"] != "completed" for r in rows),
             "control_blowups": sum(r["control"]["status"] != "completed" for r in rows),
+            "trials": len(rows),
         }
         entry["ratio"] = entry["adversarial_median"] / entry["control_median"]
         summary["per_radius"][radius] = entry
+    summary["remainder_spread"] = _spread(_column(summary, "remainder_median"))
+    summary["drift_growing"] = _increasing(_column(summary, "drift_final_median"))
+    summary["verdict"] = inflation_verdict(summary)
     summary["records"] = records
     return summary
 
 
-def run_perturbed_inflation(cfg: ExperimentConfig) -> dict:
-    """Inflation around the base point x, with u0 = x + eps (X + Y).
+run_perturbed_inflation = run_inflation     # the benchmark's name for it
 
-    The inflation summary plus ``epsilon`` and, per radius, the median over
-    all trials of the distance |u0 - x|_{C^eta} of the adversarial data.
+
+# -- the inflation verdict -----------------------------------------------------
+
+#: largest control-sup and remainder spread across radii, smallest top-radius
+#: adversarial/control shift ratio, and factor within which it must match |I_T|
+SPREAD_MAX, SEPARATION_MIN, DRIFT_FACTOR = 1.5, 2.0, 2.0
+
+
+def _column(summary: dict, key: str) -> list:
+    return [summary["per_radius"][N][key] for N in summary["radii"]]
+
+
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
+def _spread(values) -> float:
+    return float(np.max(values) / np.min(values))    # NaN if any value is
+
+
+def trial_faults(summary: dict) -> list:
+    """One line for each radius where a median is not finite, and one for
+    each where more than half of the trials of an arm blew up: a median of
+    the few trials that survived is not a verdict."""
+    faults = []
+    for N, e in summary["per_radius"].items():
+        a, c, n = e["blowups"], e["control_blowups"], e["trials"]
+        if not all(math.isfinite(v) for k, v in e.items() if k.endswith("median")):
+            faults.append(f"N={N}: non-finite median ({a} adversarial and "
+                          f"{c} control trials blew up)")
+        if 2 * max(a, c) > n:
+            faults.append(f"N={N}: {a} of {n} adversarial and {c} of {n} "
+                          f"control trials blew up")
+    return faults
+
+
+def inflation_verdict(summary: dict) -> dict:
+    """The sub-checks of an inflation summary by name; all True is a pass.
+
+    Growth is read off the zero-mode shift max_t |z(t) - z(0)|, blind to the
+    base point's own zero mode, so the verdict holds around any base point.
+    The last radius is the top one; a NaN median fails each check it enters.
     """
-    res = run_inflation(cfg)
-    for radius, entry in res["per_radius"].items():
-        entry["distance_median"] = float(np.median(
-            [r["adversarial"]["u0_holder_eta"] for r in res["records"]
-             if r["radius"] == radius]))
-    return {"kind": "perturb", "epsilon": cfg.epsilon(), "radii": res["radii"],
-            "per_radius": res["per_radius"], "records": res["records"]}
+    adv = _column(summary, "adversarial_shift_median")
+    ctl = _column(summary, "control_shift_median")
+    drift = _column(summary, "drift_final_median")[-1]
+    return {
+        "trials_sound": not trial_faults(summary),
+        "adversarial_growing": _increasing(adv),
+        "matches_drift": drift / DRIFT_FACTOR <= adv[-1] <= DRIFT_FACTOR * drift,
+        "separated": adv[-1] > SEPARATION_MIN * ctl[-1],
+        "control_bounded": _spread(_column(summary, "control_median")) < SPREAD_MAX,
+        "remainder_bounded": summary["remainder_spread"] < SPREAD_MAX,
+        "drift_growing": summary["drift_growing"],
+    }
 
 
 def run_besov_convergence(cfg: ExperimentConfig) -> dict:
@@ -345,16 +399,6 @@ def run_besov_convergence(cfg: ExperimentConfig) -> dict:
         "records": records,
     }
     return summary
-
-
-def run_remainder_tracking(cfg: ExperimentConfig) -> dict:
-    """Remainder-flat / drift-growing summary from the inflation run."""
-    res = run_inflation(cfg)
-    rem = [res["per_radius"][N]["remainder_median"] for N in cfg.radii()]
-    drift = [res["per_radius"][N]["drift_final_median"] for N in cfg.radii()]
-    res["remainder_spread"] = float(np.max(rem) / np.min(rem))   # NaN if any is
-    res["drift_growing"] = all(b > a for a, b in zip(drift, drift[1:]))
-    return res
 
 
 # -- tables harness ------------------------------------------------------------
@@ -386,8 +430,7 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     """
     out = Path(out_dir or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    exp = cfg.experiment
-    radii = [int(N) for N in exp.get("radii", [16, 32])]
+    exp, radii = cfg.experiment, cfg.radii()
     t_grid = geometric_grid(float(exp.get("t_max", 1e-1)),
                             float(exp.get("t_min", 1e-4)),
                             int(exp.get("per_decade", 40)))
@@ -408,8 +451,7 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     write_csv(out / "it_integral.csv", ["exponents", "radius", "ratio"],
               int_rows)
 
-    trials = int(exp.get("trials", 20))
-    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, trials)
+    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, cfg.trials())
                                             for z in (False, True)], cfg.threads)
     mom_rows = [("decorrelated", N, dec.means[N], dec.q90[N]) for N in dec.radii]
     mom_rows += [("z_centred", N, zexp.means[N], zexp.q90[N]) for N in zexp.radii]

@@ -68,6 +68,11 @@ class Trajectory:
     def zero_mode_sup(self) -> float:
         return float(np.max(np.linalg.norm(self.zero_mode_path, axis=1)))
 
+    def zero_mode_shift(self) -> float:
+        """max_t |z(t) - z(0)|: the drift, whatever the data's own zero mode."""
+        path = self.zero_mode_path
+        return float(np.max(np.linalg.norm(path - path[0], axis=1)))
+
 
 def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                          spec: NonlinearitySpec) -> tuple[np.ndarray, float]:
@@ -197,22 +202,13 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
                       max((s for s in sups if np.isfinite(s)), default=0.0))
 
 
-def remainder_fields(trajectory: Trajectory, u0: SpectralField, drift) -> list:
-    """Per-snapshot remainder R_t = u_t - P_t u0 - I_t as spectral fields.
-
-    ``drift`` maps t to the constant-in-space vector I_t in E.
-    """
-    out = []
-    grid = u0.grid
+def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
+                    alpha: float) -> np.ndarray:
+    """Hoelder C^alpha norms of the remainder R_t = u_t - P_t u0 - I_t at the
+    snapshot times; ``drift`` maps t to the constant-in-space vector I_t in E."""
+    grid, norms = u0.grid, []
     for t, f in zip(trajectory.times, trajectory.fields):
         coeffs = f.coeffs - u0.heat(t).coeffs
         coeffs[grid.zero_mode_index] -= np.asarray(drift(t), dtype=complex)
-        out.append(SpectralField(grid, coeffs))
-    return out
-
-
-def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
-                    alpha: float) -> np.ndarray:
-    """Hoelder C^alpha norms of the remainder at the snapshot times."""
-    return np.asarray([holder_norm(r, alpha)
-                       for r in remainder_fields(trajectory, u0, drift)])
+        norms.append(holder_norm(SpectralField(grid, coeffs), alpha))
+    return np.asarray(norms)

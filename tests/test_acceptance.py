@@ -15,8 +15,9 @@ from nlheat.correlation import (ParameterSet, compute_Zt, geometric_grid,
                                 moment_experiment_decorrelated,
                                 moment_experiment_Z, verify_EZt_bounds,
                                 verify_It_bounds)
-from nlheat.experiments import (ExperimentConfig, run_besov_convergence,
-                                run_inflation, run_tables)
+from nlheat.experiments import (ExperimentConfig, inflation_verdict,
+                                run_besov_convergence, run_inflation,
+                                run_tables)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
 from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -178,6 +179,8 @@ def test_criterion_6_inflation(inflation_summary):
     report(6, ok, f"adversarial medians {[round(v, 2) for v in adv]} "
            f"(increasing={increasing}), control spread {ctl_spread:.3f} "
            f"(< 1.5), ratio at N=1024 {ratio_top:.2f} (> 2)")
+    verdict = inflation_verdict(s)
+    assert all(verdict.values()), verdict
 
 
 @pytest.mark.slow
@@ -191,6 +194,8 @@ def test_criterion_7_remainder(inflation_summary):
     report(7, ok, f"remainder medians {[round(v, 2) for v in rem]} "
            f"spread {rem_spread:.3f} (< 1.5), |I_T| medians "
            f"{[round(v, 2) for v in drift]} growing={growing}")
+    verdict = inflation_verdict(s)
+    assert all(verdict.values()), verdict
 
 
 # -- 8: convergence dichotomy --------------------------------------------------

@@ -6,13 +6,14 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import nlheat
-from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
+from nlheat.correlation import (ParameterSet, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
@@ -20,6 +21,7 @@ from nlheat.correlation import (ParameterSet, Z_variance, compute_Zt,
                                 weighted_drift_integral)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
+from spec_helpers import Z_variance
 
 
 class TestParameterSet:
@@ -95,6 +97,18 @@ class TestExactSums:
         s, w = mode_weight_table(prof, dim, radius)
         assert s.tolist() == keys
         assert np.array_equal(w, want)
+
+    def test_d1_weight_table_is_built_from_n1(self):
+        # N entries are non-zero at d = 1: no dense array of N^2 + 1 floats
+        prof = VarianceProfile.white(4096)
+        tracemalloc.start()
+        try:
+            s, w = mode_weight_table.__wrapped__(prof, 1, 4096)   # uncached
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == len(w) == 4096
+        assert peak < 8 * 2 ** 20
 
     def test_monotone_decreasing_convex(self):
         prof = VarianceProfile.white(8)

@@ -13,8 +13,7 @@ from nlheat import cli, experiments
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
                                 _inflation_trial, _trial_grid, run_inflation,
-                                run_perturbed_inflation, run_remainder_tracking,
-                                run_tables)
+                                run_perturbed_inflation, run_tables)
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -31,24 +30,43 @@ def tiny_doc(**extra):
     return doc
 
 
-def fake_trials(blown):
+def fake_trials(blown, changed=()):
     """A stand-in for ``_inflation_trial``: at radius N the first blown[N] =
     (a, c) trials of the adversarial and control arms blow up; the others
-    complete, with medians that grow with N and a flat remainder."""
+    complete, with medians that grow with N and a flat remainder, so every
+    sub-check of the verdict passes. ``changed`` maps (N, arm, key) to a
+    value that replaces that key in every record at radius N."""
     def arm(blew, sup, **done):
         if blew:
-            return {"status": "blewup", "zero_mode_sup": 1e300, "u0_holder_eta": 1.0}
+            return {"status": "blewup", "zero_mode_sup": 1e300,
+                    "zero_mode_shift": 1e300, "u0_holder_eta": 1.0}
         return {"status": "completed", "zero_mode_sup": sup,
-                "u0_holder_eta": 1.0, **done}
+                "zero_mode_shift": sup, "u0_holder_eta": 1.0, **done}
 
     def fake(args):
         cfg, radius, trial = args
         a, c = blown.get(radius, (0, 0))
-        return {"trial": trial, "radius": radius, "seed": cfg.seed,
-                "adversarial": arm(trial < a, radius + trial, remainder_sup=10.0,
-                                   drift_final=float(radius)),
-                "control": arm(trial < c, 1.0)}
+        rec = {"trial": trial, "radius": radius, "seed": cfg.seed,
+               "adversarial": arm(trial < a, radius + trial, remainder_sup=10.0,
+                                  drift_final=float(radius)),
+               "control": arm(trial < c, 1.0)}
+        for (N, arm_name, key), value in dict(changed).items():
+            if N == radius:
+                rec[arm_name][key] = value
+        return rec
     return fake
+
+
+#: per sub-check, fake trials (blown, changed) that fail it and no other one
+VERDICT_BREAKS = {
+    "trials_sound": ({16: (2, 0)}, {}),
+    "adversarial_growing": ({}, {(8, "adversarial", "zero_mode_shift"): 40.0}),
+    "matches_drift": ({}, {(16, "adversarial", "drift_final"): 100.0}),
+    "separated": ({}, {(16, "control", "zero_mode_shift"): 10.0}),
+    "control_bounded": ({}, {(16, "control", "zero_mode_sup"): 2.0}),
+    "remainder_bounded": ({}, {(16, "adversarial", "remainder_sup"): 20.0}),
+    "drift_growing": ({}, {(8, "adversarial", "drift_final"): 20.0}),
+}
 
 
 class TestConfig:
@@ -231,13 +249,14 @@ class TestInflation:
         def fake_trial(args):
             cfg, radius, trial = args
             adv = {"status": "completed", "zero_mode_sup": 1.0 + trial,
+                   "zero_mode_shift": 1.0 + trial,
                    "u0_holder_eta": 1.0, "remainder_sup": 10.0 + trial,
                    "drift_final": 5.0}
             if trial == 0:
                 adv = {"status": "blewup", "zero_mode_sup": 1e300,
-                       "u0_holder_eta": 1.0}
+                       "zero_mode_shift": 1e300, "u0_holder_eta": 1.0}
             ctl = {"status": "completed", "zero_mode_sup": 2.0,
-                   "u0_holder_eta": 1.0}
+                   "zero_mode_shift": 0.5, "u0_holder_eta": 1.0}
             return {"trial": trial, "radius": radius, "seed": cfg.seed,
                     "adversarial": adv, "control": ctl}
 
@@ -249,6 +268,9 @@ class TestInflation:
             assert entry["drift_final_median"] == 5.0
             assert entry["ratio"] == 1.25
             assert entry["blowups"] == 1 and entry["control_blowups"] == 0
+            assert entry["adversarial_shift_median"] == 2.5
+            assert entry["control_shift_median"] == 0.5
+            assert entry["trials"] == 3
 
     @pytest.mark.parametrize("kind", ["inflate", "perturb", "remainder"])
     def test_blowup_limit_fails_the_verdict(self, monkeypatch, tmp_path, capsys,
@@ -270,13 +292,52 @@ class TestInflation:
         assert code == 1 and out.count("trials blew up") == 1
         assert "N=8: 0 of 3 adversarial and 2 of 3 control trials blew up" in out
 
+    @pytest.mark.parametrize("broken", [None, *VERDICT_BREAKS])
+    def test_each_sub_check_fails_on_its_own(self, monkeypatch, tmp_path,
+                                             capsys, broken):
+        blown, changed = VERDICT_BREAKS.get(broken, ({}, {}))
+        monkeypatch.setattr(experiments, "_inflation_trial",
+                            fake_trials(blown, changed))
+        want = {name: name != broken for name in VERDICT_BREAKS}
+        for kind in ("inflate", "perturb", "remainder"):
+            p = tmp_path / f"{kind}.yaml"
+            p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
+            out = tmp_path / kind
+            code = main([kind, "--config", str(p), "--out", str(out)])
+            assert json.loads((out / "summary.json").read_text())["verdict"] == want
+            assert code == (1 if broken else 0)
+            printed = capsys.readouterr().out
+            assert all(f"{name}: {'pass' if ok else 'FAIL'}" in printed
+                       for name, ok in want.items())
+            assert len((out / "records.jsonl").read_text().splitlines()) == 6
+            assert (out / "inflation.csv").read_text().splitlines()[0] == \
+                "radius,adversarial_median,control_median,ratio,blowups"
+            assert (out / "remainder.csv").read_text().splitlines()[0] == \
+                "radius,remainder_median,drift_final_median"
+
+    def test_verdict_holds_around_a_base_point(self, tmp_path, capsys):
+        # sup_t |z(t)| includes |x| = 5 and falls with N here (medians 6.12,
+        # 6.27, 5.06), while sup_t |z(t) - z(0)| follows |I_T|
+        verdicts = []
+        for kind in ("inflate", "perturb", "remainder"):
+            doc = tiny_doc(kind=kind, seed=20260823)
+            doc["experiment"] = {"radii": [32, 64, 128], "trials": 4,
+                                 "epsilon": 1.0, "base": [5.0, 0.0]}
+            p = tmp_path / f"{kind}.yaml"
+            p.write_text(yaml.safe_dump(doc))
+            out = tmp_path / kind
+            assert main([kind, "--config", str(p), "--out", str(out)]) == 0
+            verdicts.append(json.loads((out / "summary.json").read_text())["verdict"])
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert all(verdicts[0].values()) and len(verdicts[0]) == 7
+
     @pytest.mark.parametrize("radius", [8, 16])
     def test_remainder_spread_is_nan_when_a_median_is(self, monkeypatch,
                                                        tmp_path, capsys, radius):
         monkeypatch.setattr(experiments, "_inflation_trial",
                             fake_trials({radius: (3, 0)}))
         doc = tiny_doc(kind="remainder")
-        res = run_remainder_tracking(ExperimentConfig.from_dict(doc))
+        res = run_inflation(ExperimentConfig.from_dict(doc))
         assert math.isnan(res["per_radius"][radius]["remainder_median"])
         assert math.isnan(res["remainder_spread"])
         p = tmp_path / "c.yaml"
@@ -344,7 +405,7 @@ class TestInflation:
         runs = {}
         for kind, run in (("inflate", run_inflation),
                           ("perturb", run_perturbed_inflation),
-                          ("remainder", run_remainder_tracking)):
+                          ("remainder", run_inflation)):
             doc = tiny_doc(kind=kind)
             doc["experiment"].update(epsilon=0.5, base=[0.25, -0.5],
                                      radii=[8], trials=2)
