@@ -24,18 +24,11 @@ from .solver import solve
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_yaml(args.config)
-    else:
+    if not args.config:
         raise ConfigError("--config is required for this command")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    overrides = {key: getattr(args, key) for key in ("seed", "threads", "out")
+                 if getattr(args, key) is not None}
+    return replace(ExperimentConfig.from_yaml(args.config), **overrides)
 
 
 def _emit(summary: dict, out_dir: Path) -> None:
@@ -80,6 +73,7 @@ def cmd_solve(args) -> int:
     write_csv(out / "zero_mode.csv",
               ["t"] + [f"z{c}" for c in range(nl.dim_E)], rows)
     print(f"solve: status={traj.status} steps={traj.steps} "
+          f"rejected={traj.rejected} h_min={traj.h_min:.6g} "
           f"zero_mode_sup={traj.zero_mode_sup():.6g}")
     return 0 if traj.status == "completed" else 1
 

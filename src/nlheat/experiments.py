@@ -41,7 +41,8 @@ def _check_keys(section: dict, allowed, where: str):
 
 _PROFILE_KEYS = {"white": (), "power": ("gamma",),
                  "powerlog": ("log_theta", "loglog_eta", "k0", "floor")}
-_SOLVER_KEYS = ("step_factor", "blowup_threshold", "snapshots")
+_SOLVER_KEYS = ("step_factor", "blowup_threshold", "snapshots", "tol")
+SOLVER_TOL = 1.5e-2     # default solver.tol (null: fixed steps); README says why
 _EXPERIMENT_KEYS = ("radii", "trials", "log_exponent", "epsilon", "base",
                     "reference_radius", "q", "alpha", "t_min", "t_max",
                     "per_decade")
@@ -158,10 +159,11 @@ class ExperimentConfig:
         steps = max(1, int(math.ceil(T * radius ** 2 / factor)))
         nsnap = int(self.solver.get("snapshots", 12))
         snaps = tuple(np.geomspace(T / 64.0, T, nsnap))
+        tol = self.solver.get("tol", SOLVER_TOL)
         return SolveConfig(
             t_end=T, steps=steps,
             blowup_threshold=float(self.solver.get("blowup_threshold", 1e8)),
-            snapshot_times=snaps)
+            snapshot_times=snaps, tol=None if tol is None else float(tol))
 
 
 # -- trial workers (top level for process pools) -------------------------------
@@ -190,8 +192,8 @@ def _inflation_trial(args):
     The data are u0 = x + eps (X + Y), with eps = ``experiment.epsilon``
     (default 1) and the constant x = ``experiment.base`` (default 0).
     ``u0_holder_eta`` is the distance |u0 - x|_{C^eta} = |eps (X + Y)|_{C^eta};
-    ``steps`` and ``sup_max`` are the solve's completed steps and largest
-    finite sup|u|.
+    ``steps``, ``rejected``, ``h_min`` and ``sup_max`` are the solve's
+    accepted and refused steps, smallest step size and largest finite sup|u|.
     """
     cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()
@@ -227,6 +229,8 @@ def _inflation_trial(args):
             "zero_mode_shift": traj.zero_mode_shift(),
             "u0_holder_eta": holder_norm(pert, params.eta),
             "steps": traj.steps,
+            "rejected": traj.rejected,
+            "h_min": traj.h_min,
             "sup_max": traj.sup_max,
         }
         if arm == "adversarial" and traj.status == "completed":
@@ -335,7 +339,9 @@ SPREAD_MAX, SEPARATION_MIN, DRIFT_FACTOR = 1.5, 2.0, 2.0
 
 
 def _column(summary: dict, key: str) -> list:
-    return [summary["per_radius"][N][key] for N in summary["radii"]]
+    """``key`` per radius; a summary read back from JSON keys radii by str(N)."""
+    rows = summary["per_radius"]
+    return [(rows.get(N) or rows[str(N)])[key] for N in summary["radii"]]
 
 
 def _increasing(values) -> bool:

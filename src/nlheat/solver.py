@@ -19,6 +19,7 @@ depend on the number of columns (OpenBLAS's dgemm does).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,12 +31,13 @@ from .nonlinearity import NonlinearitySpec
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Time grid and safeguards for one solve."""
+    """Time grid and safeguards for one solve; ``tol`` None: fixed steps."""
 
     t_end: float
     steps: int
     blowup_threshold: float = 1e8
     snapshot_times: tuple = ()
+    tol: float | None = None
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -44,6 +46,8 @@ class SolveConfig:
             raise ValueError("steps must be >= 1")
         if self.blowup_threshold <= 0:
             raise ValueError("blowup_threshold must be positive")
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError("tol must be positive or None")
 
 
 @dataclass
@@ -59,6 +63,8 @@ class Trajectory:
     status: str = "completed"            # "completed" | "blewup"
     blowup_time: float | None = None
     sup_max: float = 0.0
+    rejected: int = 0                    # steps the controller refused
+    h_min: float = 0.0                   # smallest step size tried
 
     @property
     def steps(self) -> int:
@@ -94,40 +100,54 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
         raise ValueError("cubic nonlinearity needs G >= 2M oversampling")
     if spec.has_quadratic() and not grid.quadratic_headroom():
         raise ValueError("quadratic nonlinearity needs G >= ceil(3M/2)")
+    return _rhs(coeffs, grid, spec.plan, *_layout(spec.plan, grid, len(coeffs)))
+
+
+def _layout(plan: dict, grid: TorusGrid, components: int) -> tuple:
+    """Point slices of the contraction, and the arrays that every call reuses."""
+    rows = max([cols.shape[1] for cols, *_ in plan.values()], default=1)
+    n, width = grid.points_per_axis ** grid.dim, max(1, besov.BATCH_BYTES // (8 * rows))
+    # no one-point chunk: BLAS takes it as a matrix-vector product, which
+    # sums in another order, so the result would depend on the chunking
+    count = max(1, min(-(-n // width), n // 2))
+    return ([slice(j * n // count, (j + 1) * n // count) for j in range(count)],
+            np.empty((2, rows, -(-n // count))),
+            np.empty((grid.dim, components, n)) if "B" in plan else None,
+            np.empty((components, n)))
+
+
+def _rhs(coeffs: np.ndarray, grid: TorusGrid, plan: dict, chunks: list,
+         work: np.ndarray, du, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """``nonlinear_rhs_coeffs`` once the spec is checked and laid out."""
     u_phys = synthesize_coeffs(coeffs, grid)            # (nE, G..)
-    sup_u = float(np.abs(u_phys).max()) if u_phys.size else 0.0
+    sup_u = float(max(u_phys.max(), -u_phys.min())) if u_phys.size else 0.0
     u = u_phys.reshape(len(u_phys), -1)
-    values = [u]                                    # then du, if B is present
-    if "B" in spec.plan:
-        du = grid.derivative_multipliers[:, None] * coeffs[None]
-        values.append(synthesize_coeffs(du, grid).reshape(grid.dim, len(u), -1))
-    out = np.zeros(u.shape, u.dtype)
-    widest = max([cols.shape[1] for cols, *_ in spec.plan.values()], default=1)
-    n, width = u.shape[1], max(1, besov.BATCH_BYTES // (8 * widest))
-    # one chunk (every d = 1 grid): whole arrays, since the loop's views are
-    # a measurable share of a small RHS call
-    if n <= width:
-        _contract(spec.plan, out, *values)
-    else:
-        # no one-point chunk: BLAS takes it as a matrix-vector product, which
-        # sums in another order, so the result would depend on the chunking
-        chunks = min(-(-n // width), n // 2)
-        for j in range(chunks):
-            part = slice(j * n // chunks, (j + 1) * n // chunks)
-            _contract(spec.plan, out[:, part], *[v[..., part] for v in values])
+    if du is not None:  # per axis: one stack of 3 nE fields is twice as slow
+        for axis, ik in enumerate(grid.derivative_multipliers):
+            du[axis] = synthesize_coeffs(ik * coeffs, grid).reshape(u.shape)
+    out.fill(0.0)
+    for part in chunks:
+        _contract(plan, out[:, part], u[:, part],
+                  None if du is None else du[..., part], work)
     return analyze_values(out.reshape(u_phys.shape), grid), sup_u
 
 
-def _contract(plan: dict, out: np.ndarray, u: np.ndarray, du=None) -> None:
-    """out += each plan term's columns times its factor rows on these points."""
+def _contract(plan: dict, out: np.ndarray, u: np.ndarray, du, work) -> None:
+    """out += each plan term's columns times its factor rows, built in work."""
+    n = u.shape[1]
     for name, (cols, *slots) in plan.items():
+        rows, other = work[0, :cols.shape[1], :n], work[1, :cols.shape[1], :n]
         if name == "B":
-            factors = u[slots[1]] * du[slots[0], slots[2]]
+            np.take(u, slots[1], axis=0, out=rows, mode="clip")  # "raise" copies
+            np.take(du.reshape(-1, n), slots[0] * len(u) + slots[2], axis=0,
+                    out=other, mode="clip")
+            np.multiply(rows, other, out=rows)
         else:
-            factors = np.ones((1, u.shape[1]))
+            rows[:] = 1.0
             for slot in slots:
-                factors = factors * u[slot]
-        out += cols @ factors
+                np.take(u, slot, axis=0, out=other, mode="clip")
+                np.multiply(rows, other, out=rows)
+        out += cols @ rows
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -146,60 +166,85 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+#: first controlled step over t_end / steps: at the default tol no first step
+#: of the d = 1 acceptance or the d = 3 gauge benchmark runs is refused
+START_FRACTION = 0.125
+
+
 def solve(u0: SpectralField, spec: NonlinearitySpec,
           config: SolveConfig) -> Trajectory:
-    """Integrate the flow from u0 over [0, t_end].
+    """Integrate the flow from u0 (real) over [0, t_end].
 
-    The zero-mode vector is recorded at every step; spectral snapshots are
-    taken at the step boundaries closest to the requested snapshot times
-    (t = 0 and t = t_end are always included).  u0 must be real.
+    With ``config.tol`` None every step is t_end / steps.  Otherwise the
+    first is ``START_FRACTION`` of that, and a step whose error
+    err = max_k |h phi2 (N(a) - N(u_t))| is <= tol is accepted, h then scaled
+    by min(2, max(0.5, 0.9 sqrt(tol/err))); a refused step keeps u_t and
+    N(u_t) and scales h by max(0.2, 0.9 sqrt(tol/err)).  Less than two steps
+    from t_end the rest is split in two, or taken whole if it fits in one; a
+    step that no longer moves t is a blow-up.  The zero mode is recorded at
+    every accepted step, each snapshot at the accepted boundary nearest its
+    requested time (the earlier on a tie), with t = 0 and t_end, once each.
     """
     grid = u0.grid
     u0.require_real()
-    h = config.t_end / config.steps
-    centre = grid.zero_mode_index
-    k2 = grid.k_squared
-    decay = np.exp(-k2 * h)
-    z = -k2 * h
-    hphi1, hphi2 = h * _phi1(z), h * _phi2(z)       # loop invariants
-
-    snap_steps = {0, config.steps}
-    for t in config.snapshot_times:
-        snap_steps.add(int(round(min(max(t, 0.0), config.t_end) / h)))
-
-    u = u0.coeffs.copy()
-    times, fields = [], []
-    zt = [0.0]
-    zpath = [u[centre].real.copy()]
-    status, blowup_time = "completed", None
-    sups = []
-
-    def record_snapshot(step):
-        if step in snap_steps:
-            times.append(step * h)
-            fields.append(SpectralField(grid, u.copy()))
-
-    record_snapshot(0)
-    for step in range(1, config.steps + 1):
-        n0, sup_u = nonlinear_rhs_coeffs(u, grid, spec)
-        sups.append(sup_u)
-        if not np.isfinite(sup_u) or sup_u > config.blowup_threshold:
-            status, blowup_time = "blewup", (step - 1) * h
+    plan, layout = spec.plan, _layout(spec.plan, grid, spec.dim_E)
+    t_end, tol, k2 = config.t_end, config.tol, grid.k_squared
+    h = t_end / config.steps * (1.0 if tol is None else START_FRACTION)
+    pending = sorted(min(max(s, 0.0), t_end) for s in (*config.snapshot_times, t_end))
+    u = u0.coeffs.copy()                # never written in place from here
+    times, fields = [0.0], [SpectralField(grid, u)]
+    zt, zpath = [0.0], [u[grid.zero_mode_index].real.copy()]
+    n0, sup_u = nonlinear_rhs_coeffs(u, grid, spec)      # checks the spec once
+    status, sups, rejected, h_min = "completed", [sup_u], 0, h
+    t, h_phi, last = 0.0, None, False
+    while not last:
+        if not np.isfinite(sup_u) or sup_u > config.blowup_threshold or t + h == t:
+            status = "blewup"
             break
+        if tol is None:
+            last = len(zt) == config.steps
+        else:
+            left = t_end - t
+            last = left <= h
+            h = left if last else min(h, left / 2)
+        if h != h_phi:
+            h_phi, z = h, -k2 * h
+            decay, hphi1, hphi2 = np.exp(z), h * _phi1(z), h * _phi2(z)
+        h_min = min(h_min, h)
         stage = decay * u + hphi1 * n0
-        n1, sup_stage = nonlinear_rhs_coeffs(stage, grid, spec)
+        n1, sup_stage = _rhs(stage, grid, plan, *layout)
         sups.append(sup_stage)
-        u = stage + hphi2 * (n1 - n0)
+        correction = hphi2 * (n1 - n0)
+        if tol is not None:
+            err = float(np.abs(correction).max())
+            scale = 0.9 * math.sqrt(tol / err) if 0 < err < math.inf \
+                else 0.0 if err else math.inf           # NaN and inf: 0
+            if not err <= tol:
+                rejected, last, h = rejected + 1, False, h * max(0.2, scale)
+                continue
+        u_prev, t_prev, u = u, t, stage + correction
+        t = len(zt) * h if tol is None else (t_end if last else t + h)
+        if tol is not None:
+            h *= min(2.0, max(0.5, scale))
         if not np.all(np.isfinite(u)):
-            status, blowup_time = "blewup", step * h
+            status = "blewup"
             break
-        zt.append(step * h)
-        zpath.append(u[centre].real.copy())
-        record_snapshot(step)
+        zt.append(t)
+        zpath.append(u[grid.zero_mode_index].real.copy())
+        while pending and (pending[0] <= t or last):
+            s = pending.pop(0)
+            t_s, u_s = (t_prev, u_prev) if s - t_prev <= t - s else (t, u)
+            if t_s != times[-1]:
+                times.append(t_s)
+                fields.append(SpectralField(grid, u_s))
+        if not last:
+            n0, sup_u = _rhs(u, grid, plan, *layout)
+            sups.append(sup_u)
 
-    return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath),
-                      status, blowup_time,
-                      max((s for s in sups if np.isfinite(s)), default=0.0))
+    return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath), status,
+                      t if status == "blewup" else None,
+                      max((s for s in sups if np.isfinite(s)), default=0.0),
+                      rejected, h_min)
 
 
 def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,

@@ -181,10 +181,39 @@ class TestInflation:
         cfg = ExperimentConfig.from_dict(tiny_doc())
         rec = _inflation_trial((cfg, 8, 0))
         for arm in ("adversarial", "control"):
-            assert type(rec[arm]["steps"]) is int
-            assert rec[arm]["steps"] == cfg.solve_config(8).steps
+            assert type(rec[arm]["steps"]) is int and rec[arm]["steps"] >= 1
+            assert type(rec[arm]["rejected"]) is int
+            assert math.isfinite(rec[arm]["h_min"]) and rec[arm]["h_min"] > 0
             assert math.isfinite(rec[arm]["sup_max"]) and rec[arm]["sup_max"] > 0
             assert None not in rec[arm].values()
+
+    def test_solver_tol_key(self):
+        default = ExperimentConfig.from_dict(tiny_doc()).solve_config(8)
+        assert default.tol == experiments.SOLVER_TOL
+        fixed = ExperimentConfig.from_dict(tiny_doc(solver={"tol": None}))
+        assert fixed.solve_config(8).tol is None
+        assert fixed.solve_config(8).steps == default.steps
+        rec = _inflation_trial((fixed, 8, 0))
+        for arm in ("adversarial", "control"):
+            assert rec[arm]["steps"] == default.steps
+            assert rec[arm]["rejected"] == 0
+            assert rec[arm]["h_min"] == default.t_end / default.steps
+
+    @pytest.mark.parametrize("tol, status", [(None, "blewup"),
+                                             (experiments.SOLVER_TOL, "completed")])
+    def test_gauge_flow_at_unit_epsilon(self, tol, status):
+        # after two fixed steps both arms pass the blow-up threshold; the
+        # controller takes both through
+        doc = {"kind": "perturb", "seed": 1, "grid": {"dim": 2},
+               "profile": {"kind": "powerlog"},
+               "nonlinearity": {"preset": "dym", "algebra": "so3"},
+               "experiment": {"radii": [8], "trials": 1, "epsilon": 1.0},
+               "solver": {"tol": tol}}
+        rec = _inflation_trial((ExperimentConfig.from_dict(doc), 8, 0))
+        for arm in ("adversarial", "control"):
+            assert rec[arm]["status"] == status
+            if tol is None:
+                assert rec[arm]["steps"] == 2
 
     def test_thread_count_invariance(self):
         cfg1 = ExperimentConfig.from_dict(tiny_doc())
@@ -314,6 +343,17 @@ class TestInflation:
                 "radius,adversarial_median,control_median,ratio,blowups"
             assert (out / "remainder.csv").read_text().splitlines()[0] == \
                 "radius,remainder_median,drift_final_median"
+
+    def test_stored_summary_gives_the_same_verdict(self, monkeypatch, tmp_path):
+        # summary.json keys per_radius by str(N); the verdict reads either
+        monkeypatch.setattr(experiments, "_inflation_trial",
+                            fake_trials(*VERDICT_BREAKS["separated"]))
+        summary = run_inflation(ExperimentConfig.from_dict(tiny_doc()))
+        cli._emit(summary, tmp_path)
+        stored = json.loads((tmp_path / "summary.json").read_text())
+        assert set(stored["per_radius"]) == {"8", "16"}
+        assert experiments.inflation_verdict(stored) == summary["verdict"]
+        assert not all(summary["verdict"].values())
 
     def test_verdict_holds_around_a_base_point(self, tmp_path, capsys):
         # sup_t |z(t)| includes |x| = 5 and falls with N here (medians 6.12,
@@ -524,7 +564,9 @@ class TestCli:
             kind="solve", solver={"blowup_threshold": 1e-12})))
         out = tmp_path / "s"
         assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
-        assert "status=blewup" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "status=blewup" in printed
+        assert "rejected=0 h_min=" in printed
         assert (out / "zero_mode.csv").exists()
         assert not (out / "final.gfsf").exists()
 

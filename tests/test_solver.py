@@ -194,14 +194,14 @@ class TestConsistency:
         # du/dt = u^2 from u(0) = 1e160: u^2 overflows, so the stage is
         # non-finite and its sup|u| is inf or NaN
         import nlheat.solver as solver_module
-        seen, rhs = [], solver_module.nonlinear_rhs_coeffs
+        seen, rhs = [], solver_module._rhs
 
         def recording_rhs(*args):
             out = rhs(*args)
             seen.append(out[1])
             return out
 
-        monkeypatch.setattr(solver_module, "nonlinear_rhs_coeffs", recording_rhs)
+        monkeypatch.setattr(solver_module, "_rhs", recording_rhs)
         spec = NonlinearitySpec.from_parts(1, 1, p2=np.ones((1, 1, 1)))
         u0 = SpectralField.constant(TorusGrid(1, 5), [1e160])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,6 +219,98 @@ class TestConsistency:
         assert isinstance(traj.steps, int)
         sup0 = nonlinear_rhs_coeffs(u0.coeffs, grid, preset_antisym2(1))[1]
         assert traj.sup_max >= sup0 > 0
+
+
+class TestController:
+    """Step-size control (``SolveConfig.tol`` set)."""
+
+    def test_heat_flow_exact_and_no_sliver(self, monkeypatch):
+        # N = 0: every error estimate is 0, so h doubles from 1/16 and the
+        # 9/16 left after 7/16 is split in two, not taken as 8/16 + 1/16
+        import nlheat.solver as solver_module
+        monkeypatch.setattr(solver_module, "START_FRACTION", 0.25)
+        grid = TorusGrid(2, 9)
+        u0 = random_real(grid, components=2, seed=1)
+        traj = solve(u0, zero_spec(2, 2), SolveConfig(1.0, 4, tol=1e-3))
+        assert traj.status == "completed" and traj.rejected == 0
+        assert list(traj.zero_mode_times) == [0, 1 / 16, 3 / 16, 7 / 16,
+                                              7 / 16 + 9 / 32, 1.0]
+        assert traj.h_min == 1 / 16
+        expect = u0.heat(1.0).coeffs
+        assert np.max(np.abs(traj.fields[-1].coeffs - expect)) < 1e-10
+
+    def test_snapshots_at_nearest_accepted_boundary(self):
+        grid = TorusGrid(1, 33)
+        u0 = random_real(grid, components=2, seed=3)
+        T = 0.01
+        asked = (-1.0, 0.0, 1e-4, 2e-4, 2.5e-4, 1e-3, 3e-3, 7e-3, T, 2 * T)
+        traj = solve(u0, preset_antisym2(1),
+                     SolveConfig(T, 8, snapshot_times=asked, tol=1e-3))
+        bounds = traj.zero_mode_times
+        assert traj.status == "completed" and traj.steps > 8
+        assert bounds[-1] == T
+
+        def nearest(s):     # the earlier boundary on a tie
+            return bounds[np.argmin(np.abs(bounds - min(max(s, 0.0), T)))]
+
+        assert traj.times == sorted({0.0, T, *(nearest(s) for s in asked)})
+        assert len(set(traj.times)) == len(traj.times)
+        for t, f in zip(traj.times, traj.fields):
+            k = list(bounds).index(t)
+            assert np.array_equal(f.coeffs[grid.zero_mode_index].real,
+                                  traj.zero_mode_path[k])
+
+    def test_rejection_leaves_u_untouched(self, monkeypatch):
+        # a tight tol refuses the first step; the accepted one is then the
+        # fixed ETD-RK2 step of the new size from the same u and N(u)
+        import nlheat.solver as solver_module
+        calls, rhs = [], solver_module._rhs
+        monkeypatch.setattr(solver_module, "_rhs",
+                            lambda *a: calls.append(1) or rhs(*a))
+        grid = TorusGrid(1, 33)
+        u0 = random_real(grid, components=2, seed=5)
+        spec = preset_antisym2(1)
+        first = solve(u0, spec, SolveConfig(0.01, 1, tol=1e-6))
+        assert first.rejected >= 1 and first.status == "completed"
+        assert len(calls) == 2 * first.steps + first.rejected
+        h = first.zero_mode_times[1]
+        again = solve(u0, spec, SolveConfig(0.01, 1, snapshot_times=(h,),
+                                            tol=1e-6))
+        fixed = solve(u0, spec, SolveConfig(h, 1))
+        assert again.times[1] == h
+        assert np.array_equal(again.fields[1].coeffs, fixed.fields[-1].coeffs)
+        assert first.h_min <= h
+
+    def test_matches_fine_fixed_reference(self):
+        grid = TorusGrid(1, 65)
+        u0 = random_real(grid, components=2, seed=6)
+        spec = preset_antisym2(1)
+        T = 0.02
+        ref = solve(u0, spec, SolveConfig(T, 4000)).fields[-1].coeffs
+        errs = {}
+        for tol in (1e-2, 1e-3):
+            traj = solve(u0, spec, SolveConfig(T, 10, tol=tol))
+            errs[tol] = np.max(np.abs(traj.fields[-1].coeffs - ref)) \
+                / np.max(np.abs(ref))
+        assert errs[1e-3] < 1e-3 and errs[1e-3] < errs[1e-2], errs
+
+    def test_non_advancing_step_is_a_blowup(self):
+        # du/dt = u^2 from 1e160: N(u) overflows, so every stage is refused
+        # and h shrinks until the step no longer moves t
+        spec = NonlinearitySpec.from_parts(1, 1, p2=np.ones((1, 1, 1)))
+        u0 = SpectralField.constant(TorusGrid(1, 5), [1e160])
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = solve(u0, spec, SolveConfig(0.5, 20, blowup_threshold=math.inf,
+                                               tol=1e-3))
+        assert traj.status == "blewup" and traj.steps == 0
+        assert traj.blowup_time == 0.0 and traj.rejected > 100
+        assert 0 < traj.h_min < 1e-300
+        assert traj.sup_max == pytest.approx(1e160)
+
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                SolveConfig(1.0, 4, tol=tol)
 
 
 class TestPicard:
