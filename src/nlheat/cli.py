@@ -1,9 +1,9 @@
 """Command line front end.
 
-Every subcommand is driven by a YAML config (``--config``); ``--seed``,
-``--threads`` and ``--out`` override the corresponding config entries.
-Exit status: 0 on success, 1 when an experiment ran but its verdict
-failed, 2 on configuration or usage errors.
+Each subcommand but ``identities`` (``--seed`` only) runs a YAML config
+(``--config``) of its own kind, ``inflate``/``perturb``/``remainder`` as one;
+``--seed``, ``--threads`` and ``--out`` override its entries. Exit status: 0
+on success, 1 when a run's verdict failed, 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ConfigError, ExperimentConfig, _trial_grid,
+from .experiments import (KINDS, ConfigError, ExperimentConfig, _trial_grid,
                           run_besov_convergence, run_inflation, run_tables,
                           trial_faults, write_csv, write_records_jsonl)
 from .gfsf import write_field
@@ -24,11 +24,12 @@ from .solver import solve
 
 
 def _load_config(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
+    cfg = ExperimentConfig.from_yaml(args.config)
+    if COMMANDS[cfg.kind] is not COMMANDS[args.command]:
+        raise ConfigError(f"nlheat {args.command} cannot run a {cfg.kind!r} config")
     overrides = {key: getattr(args, key) for key in ("seed", "threads", "out")
                  if getattr(args, key) is not None}
-    return replace(ExperimentConfig.from_yaml(args.config), **overrides)
+    return replace(cfg, **overrides)
 
 
 def _emit(summary: dict, out_dir: Path) -> None:
@@ -123,10 +124,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    seed = args.seed if args.seed is not None else 7
     worst = 0
     for dim in (1, 2, 3):
-        for r in run_identity_suite(seed=seed, dim=dim):
+        for r in run_identity_suite(seed=args.seed, dim=dim):
             print(f"d={dim} {r.name}: defect={r.defect:.3e} tol={r.tol:.0e} "
                   f"[{'pass' if r.passed else 'FAIL'}]")
             worst |= not r.passed
@@ -151,12 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Norm-inflation experiments for the nonlinear heat "
                     "equation on the torus.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in KINDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="YAML experiment configuration")
+        p.add_argument("--config", required=True,
+                       help="YAML experiment configuration")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--threads", type=int, help="worker process count")
         p.add_argument("--out", help="output directory")
+    sub.add_parser("identities").add_argument("--seed", type=int, default=7,
+                                              help="master seed")
     return parser
 
 

@@ -36,9 +36,9 @@ MOMENT_T_MIN, MOMENT_PER_DECADE = 1e-5, 20
 class ParameterSet:
     """Regularity exponents for the weighted-supremum statistics."""
 
-    delta: float
-    beta: float
-    eta: float
+    delta: float = 0.875
+    beta: float = -0.5
+    eta: float = -0.55
 
     def __post_init__(self):
         if not -1.0 < self.beta < 0.0:
@@ -54,15 +54,15 @@ class ParameterSet:
     def beta_hat(self) -> float:
         return self.beta + 2.0 * (1.0 - self.delta)
 
-    def check_dim(self, dim: int):
+    def check_dim(self, dim: int) -> "ParameterSet":
+        """This set, if delta suits dimension ``dim``."""
         if not 1.0 - dim / 4.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (1 - d/4, 1) for d = {dim}")
+        return self
 
     @classmethod
     def default(cls, dim: int = 1) -> "ParameterSet":
-        ps = cls(delta=0.875, beta=-0.5, eta=-0.55)
-        ps.check_dim(dim)
-        return ps
+        return cls().check_dim(dim)
 
 
 def geometric_grid(t_max: float, t_min: float,

@@ -10,7 +10,7 @@ CSV.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 import csv
 import json
 import math
@@ -33,22 +33,46 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-def _check_keys(section: dict, allowed, where: str):
+def _check_keys(section: dict, allowed, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return section
 
 
+def _typed(where: str, value, kind: type):
+    """``value`` as a ``kind`` (a list: of ints). A str is kept for the code
+    that reads it to check, and a null solver.tol selects fixed steps."""
+    if kind is str or (value is None and where == "solver.tol"):
+        return value
+    try:
+        return [int(v) for v in value] if kind is list else kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}") from None
+
+
+SOLVER_TOL = 1.5e-2     # default solver.tol (null: fixed steps); README says why
+
+#: each section of a config document, its keys and their defaults, which
+#: from_dict fills in, each value of its default's type; ``radii`` must be
+#: given. ``profile`` keeps the keys given: VarianceProfile holds the rest.
+SECTIONS = {
+    "grid": {"dim": 1},
+    "nonlinearity": {"preset": "antisym2", "algebra": "so3"},
+    "pair": {"a": 0, "b": 1},
+    "solver": {"tol": SOLVER_TOL, "step_factor": 0.5,
+               "blowup_threshold": SolveConfig.blowup_threshold,
+               "snapshots": 12},
+    "experiment": {"radii": [], "trials": 50, "log_exponent": 4.0,
+                   "epsilon": 1.0, "base": "zero", "reference_radius": 2048,
+                   "alpha": -0.5, "q": math.inf, "t_min": 1e-4,
+                   "t_max": 1e-1, "per_decade": 40},
+    "params": {f.name: f.default for f in fields(ParameterSet)},
+}
 _PROFILE_KEYS = {"white": (), "power": ("gamma",),
                  "powerlog": ("log_theta", "loglog_eta", "k0", "floor")}
-_SOLVER_KEYS = ("step_factor", "blowup_threshold", "snapshots", "tol")
-SOLVER_TOL = 1.5e-2     # default solver.tol (null: fixed steps); README says why
-_EXPERIMENT_KEYS = ("radii", "trials", "log_exponent", "epsilon", "base",
-                    "reference_radius", "q", "alpha", "t_min", "t_max",
-                    "per_decade")
-_PARAM_KEYS = ("delta", "beta", "eta")
-_TOP_KEYS = ("kind", "seed", "out", "threads", "grid", "profile",
-             "nonlinearity", "pair", "solver", "experiment", "params")
 
 KINDS = ("sample", "solve", "inflate", "perturb", "besov", "remainder", "tables")
 
@@ -59,48 +83,47 @@ class ExperimentConfig:
 
     kind: str
     seed: int
-    dim: int = 1
-    out: str = "out"
-    threads: int = 1
-    profile: dict = dc_field(default_factory=dict)
-    nonlinearity: dict = dc_field(default_factory=dict)
-    pair: tuple = (0, 1)
-    solver: dict = dc_field(default_factory=dict)
-    experiment: dict = dc_field(default_factory=dict)
-    params: dict = dc_field(default_factory=dict)
+    dim: int
+    out: str
+    threads: int
+    profile: dict
+    nonlinearity: dict
+    pair: tuple
+    solver: dict
+    experiment: dict
+    params: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a mapping")
-        _check_keys(doc, _TOP_KEYS, "top level")
-        if "kind" not in doc or doc["kind"] not in KINDS:
+        _check_keys(doc, ("kind", "seed", "out", "threads", "profile",
+                          *SECTIONS), "config document")
+        if doc.get("kind") not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}")
-        if "seed" not in doc:
-            raise ConfigError("seed is mandatory (no entropy defaults)")
-        grid = doc.get("grid", {})
-        _check_keys(grid, ("dim",), "grid")
-        profile = dict(doc.get("profile", {"kind": "white"}))
-        pkind = profile.get("kind", "white")
-        if pkind not in _PROFILE_KEYS:
+        sec = {}
+        for name, defaults in SECTIONS.items():
+            given = _check_keys(doc.get(name, {}), defaults, name)
+            sec[name] = {key: _typed(f"{name}.{key}", given.get(key, default),
+                                     type(default))
+                         for key, default in defaults.items()}
+        if not sec["experiment"]["radii"]:
+            raise ConfigError("experiment.radii must be a non-empty list")
+        dim, pair = sec.pop("grid")["dim"], tuple(sec.pop("pair").values())
+        if not isinstance(doc.get("profile", {}), dict):
+            raise ConfigError(f"profile must be a mapping, got {doc['profile']!r}")
+        profile = dict(doc.get("profile", {}))
+        pkind = profile.setdefault("kind", "white")
+        if not isinstance(pkind, str) or pkind not in _PROFILE_KEYS:
             raise ConfigError(f"unknown profile kind {pkind!r}")
         _check_keys(profile, ("kind",) + _PROFILE_KEYS[pkind], f"{pkind} profile")
-        nl = dict(doc.get("nonlinearity", {"preset": "antisym2"}))
-        _check_keys(nl, ("preset", "algebra"), "nonlinearity")
-        pair = doc.get("pair", {})
-        _check_keys(pair, ("a", "b"), "pair")
-        solver = dict(doc.get("solver", {}))
-        _check_keys(solver, _SOLVER_KEYS, "solver")
-        exp = dict(doc.get("experiment", {}))
-        _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
-        params = dict(doc.get("params", {}))
-        _check_keys(params, _PARAM_KEYS, "params")
-        return cls(kind=doc["kind"], seed=int(doc["seed"]),
-                   dim=int(grid.get("dim", 1)), out=str(doc.get("out", "out")),
-                   threads=int(doc.get("threads", 1)), profile=profile,
-                   nonlinearity=nl,
-                   pair=(int(pair.get("a", 0)), int(pair.get("b", 1))),
-                   solver=solver, experiment=exp, params=params)
+        profile.update({key: _typed(f"profile.{key}", v, float)
+                        for key, v in profile.items() if key != "kind"})
+        if pkind == "power":
+            profile.setdefault("gamma", 1.0 - dim)
+        # the seed is mandatory: no run draws on entropy
+        return cls(kind=doc["kind"], seed=_typed("seed", doc.get("seed"), int),
+                   dim=dim, out=str(doc.get("out", "out")),
+                   threads=_typed("threads", doc.get("threads", 1), int),
+                   profile=profile, pair=pair, **sec)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -111,59 +134,37 @@ class ExperimentConfig:
     # -- derived objects -----------------------------------------------------
 
     def profile_for(self, radius: int) -> VarianceProfile:
-        p = self.profile
-        kind = p.get("kind", "white")
-        if kind == "white":
-            return VarianceProfile.white(radius)
-        if kind == "power":
-            return VarianceProfile.power(radius, float(p.get("gamma", 1 - self.dim)))
-        if kind == "powerlog":
-            return VarianceProfile.power_log(
-                self.dim, radius, float(p.get("log_theta", -1.0)),
-                float(p.get("loglog_eta", -1.0)), float(p.get("k0", 3.0)),
-                float(p.get("floor", 1.0)))
-        raise ConfigError(f"unknown profile kind {kind!r}")
+        p = dict(self.profile)
+        if p.pop("kind") == "powerlog":
+            return VarianceProfile.power_log(self.dim, radius, **p)
+        return VarianceProfile(self.profile["kind"], radius, **p)
 
     def nonlinearity_spec(self) -> NonlinearitySpec:
-        return preset(self.nonlinearity.get("preset", "antisym2"), self.dim,
-                      self.nonlinearity.get("algebra", "so3"))
+        return preset(self.nonlinearity["preset"], self.dim,
+                      self.nonlinearity["algebra"])
 
     def parameter_set(self) -> ParameterSet:
-        if self.params:
-            ps = ParameterSet(float(self.params.get("delta", 0.875)),
-                              float(self.params.get("beta", -0.5)),
-                              float(self.params.get("eta", -0.55)))
-            ps.check_dim(self.dim)
-            return ps
-        return ParameterSet.default(self.dim)
+        return ParameterSet(**self.params).check_dim(self.dim)
 
     def radii(self) -> list:
-        radii = self.experiment.get("radii", [])
-        if not radii:
-            raise ConfigError("experiment.radii must be a non-empty list")
-        return [int(N) for N in radii]
+        return list(self.experiment["radii"])
 
     def trials(self) -> int:
-        return int(self.experiment.get("trials", 50))
+        return self.experiment["trials"]
 
     def epsilon(self) -> float:
-        return float(self.experiment.get("epsilon", 1.0))
+        return self.experiment["epsilon"]
 
     def horizon(self, radius: int) -> float:
-        M = float(self.experiment.get("log_exponent", 4))
-        return math.log(radius) ** (-M)
+        return math.log(radius) ** -self.experiment["log_exponent"]
 
     def solve_config(self, radius: int) -> SolveConfig:
-        T = self.horizon(radius)
-        factor = float(self.solver.get("step_factor", 0.5))
-        steps = max(1, int(math.ceil(T * radius ** 2 / factor)))
-        nsnap = int(self.solver.get("snapshots", 12))
-        snaps = tuple(np.geomspace(T / 64.0, T, nsnap))
-        tol = self.solver.get("tol", SOLVER_TOL)
-        return SolveConfig(
-            t_end=T, steps=steps,
-            blowup_threshold=float(self.solver.get("blowup_threshold", 1e8)),
-            snapshot_times=snaps, tol=None if tol is None else float(tol))
+        T, solver = self.horizon(radius), self.solver
+        steps = max(1, int(math.ceil(T * radius ** 2 / solver["step_factor"])))
+        snaps = tuple(np.geomspace(T / 64.0, T, solver["snapshots"]))
+        return SolveConfig(t_end=T, steps=steps,
+                           blowup_threshold=solver["blowup_threshold"],
+                           snapshot_times=snaps, tol=solver["tol"])
 
 
 # -- trial workers (top level for process pools) -------------------------------
@@ -176,7 +177,7 @@ def _trial_grid(cfg: ExperimentConfig, radius: int,
 
 def _base_point(cfg: ExperimentConfig, dim_E: int):
     """``experiment.base`` as a vector in E, or None for the point 0."""
-    base = cfg.experiment.get("base", "zero")
+    base = cfg.experiment["base"]
     if base == "zero":
         return None
     if not (isinstance(base, (list, tuple)) and len(base) == dim_E and all(
@@ -245,19 +246,16 @@ def _inflation_trial(args):
 def _besov_trial(args):
     """One trial of the truncation-convergence experiment."""
     cfg, trial = args
-    ref = int(cfg.experiment.get("reference_radius", 2048))
-    radii = cfg.radii()
-    alpha = float(cfg.experiment.get("alpha", -0.5))
-    q = cfg.experiment.get("q", "inf")
-    q = math.inf if q in ("inf", math.inf, None) else float(q)
+    exp = cfg.experiment
+    ref = exp["reference_radius"]
     grid = TorusGrid(cfg.dim, 2 * ref + 1, 2 * ref + 2)
     prof = cfg.profile_for(ref)
     X = sample_real_gfs(prof, grid, stream(cfg.seed, trial, 0))
     out = {"trial": trial, "norms": {}}
-    for N in radii:
+    for N in cfg.radii():
         mask = grid.k_squared > N * N + 1e-9
         diff = SpectralField(grid, np.where(mask, X.coeffs, 0.0))
-        out["norms"][N] = besov_norm(diff, alpha, math.inf, q)
+        out["norms"][N] = besov_norm(diff, exp["alpha"], math.inf, exp["q"])
     return out
 
 
@@ -437,10 +435,8 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     out = Path(out_dir or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     exp, radii = cfg.experiment, cfg.radii()
-    t_grid = geometric_grid(float(exp.get("t_max", 1e-1)),
-                            float(exp.get("t_min", 1e-4)),
-                            int(exp.get("per_decade", 40)))
-    log_corrected = cfg.profile.get("kind") == "powerlog"
+    t_grid = geometric_grid(exp["t_max"], exp["t_min"], exp["per_decade"])
+    log_corrected = cfg.profile["kind"] == "powerlog"
 
     ez = verify_EZt_bounds(cfg.profile_for, cfg.dim, radii, t_grid,
                            log_corrected=log_corrected)

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
                                 _inflation_trial, _trial_grid, run_inflation,
                                 run_perturbed_inflation, run_tables)
+from nlheat.correlation import ParameterSet
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -157,6 +159,61 @@ class TestConfig:
         prof = cfg.profile_for(16)
         assert prof.kind == "powerlog"
         assert prof.gamma == 0.0    # 1 - d for d = 1
+
+    def test_minimal_document_loads_with_every_default(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "inflate", "seed": 1, "experiment": {"radii": [8]}})
+        assert (cfg.dim, cfg.pair, cfg.out, cfg.threads) == (1, (0, 1), "out", 1)
+        assert cfg.profile == {"kind": "white"}
+        assert cfg.nonlinearity == {"preset": "antisym2", "algebra": "so3"}
+        assert cfg.params == {"delta": 0.875, "beta": -0.5, "eta": -0.55}
+        assert cfg.solver == {"tol": experiments.SOLVER_TOL, "step_factor": 0.5,
+                              "blowup_threshold": 1e8, "snapshots": 12}
+        assert cfg.experiment == {
+            "radii": [8], "trials": 50, "log_exponent": 4.0, "epsilon": 1.0,
+            "base": "zero", "reference_radius": 2048, "alpha": -0.5,
+            "q": math.inf, "t_min": 1e-4, "t_max": 1e-1, "per_decade": 40}
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bare_profile_and_params_take_the_constructor_defaults(self, dim):
+        cfg = ExperimentConfig.from_dict({
+            "kind": "inflate", "seed": 1, "grid": {"dim": dim},
+            "profile": {"kind": "powerlog"}, "params": {},
+            "experiment": {"radii": [4]}})
+        assert cfg.profile_for(16) == VarianceProfile.power_log(dim, 16)
+        assert cfg.parameter_set() == ParameterSet.default(dim)
+
+    def test_readme_config_block_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        doc = yaml.safe_load(readme.split("```yaml\n")[1].split("```")[0])
+        assert set(doc) == {"kind", "seed", "out", "threads", "profile",
+                            *experiments.SECTIONS}
+        for name, defaults in experiments.SECTIONS.items():
+            assert set(doc[name]) == set(defaults), name
+        bare = {"kind": doc["kind"], "seed": doc["seed"],
+                "experiment": {"radii": doc["experiment"]["radii"]}}
+        assert ExperimentConfig.from_dict(doc) == ExperimentConfig.from_dict(bare)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", None, None), ("experiment", None, [1, 2]),
+        ("experiment", "radii", 8), ("seed", None, None),
+        ("experiment", "trials", None), ("profile", None, "white")],
+        ids=["solver-empty", "experiment-list", "radii-int", "seed-empty",
+             "trials-empty", "profile-word"])
+    def test_malformed_values_are_usage_errors_that_name_the_key(
+            self, tmp_path, capsys, section, key, value):
+        doc = tiny_doc()
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["inflate", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"{section}.{key}" if key else section) in capsys.readouterr().err
 
     def test_empty_radii_rejected(self):
         doc = tiny_doc()
@@ -529,6 +586,39 @@ class TestCli:
         failed = [l for l in capsys.readouterr().out.splitlines()
                   if l.endswith("[FAIL]")]
         assert len(failed) == 1 and failed[0].startswith("d=3 ")
+
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.yaml"],
+                                      ["--threads", "4"], ["--out", "zz"]])
+    def test_identities_rejects_the_flags_it_ignores(self, tmp_path, monkeypatch,
+                                                     capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["identities", *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "zz").exists()
+
+    @pytest.mark.parametrize("command, kind", [
+        ("inflate", "tables"), ("tables", "inflate"), ("perturb", "besov"),
+        ("sample", "solve"), ("solve", "remainder")])
+    def test_a_command_rejects_a_config_of_another_kind(self, tmp_path, capsys,
+                                                       command, kind):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
+        assert main([command, "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"nlheat {command}" in err and repr(kind) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_inflation_commands_run_each_others_kinds(self, monkeypatch,
+                                                      tmp_path, capsys):
+        monkeypatch.setattr(experiments, "_inflation_trial", fake_trials({}))
+        for kind in ("inflate", "perturb", "remainder"):
+            p = tmp_path / f"{kind}.yaml"
+            p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
+            for command in ("inflate", "perturb", "remainder"):
+                out = tmp_path / command / kind
+                assert main([command, "--config", str(p), "--out", str(out)]) == 0
+                assert json.loads((out / "summary.json").read_text())["kind"] == kind
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["inflate"]) == 2
