@@ -7,7 +7,7 @@ Gaussian samplers, Littlewood-Paley/Besov norms, nonlinearity presets, an
 ETD-RK2 solver, exact drift formulas, and experiment drivers.
 """
 
-from .besov import DyadicPartition, besov_norm, holder_norm, lp_block
+from .besov import DyadicPartition, besov_norm, holder_norm
 from .correlation import ParameterSet, compute_Zt, drift_scalar, expected_Zt
 from .experiments import ConfigError, ExperimentConfig
 from .field import (SpectralField, TorusGrid, analyze, pointwise_product,
@@ -22,7 +22,7 @@ from .solver import SolveConfig, Trajectory, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "DyadicPartition", "besov_norm", "holder_norm", "lp_block",
+    "DyadicPartition", "besov_norm", "holder_norm",
     "ParameterSet", "compute_Zt", "drift_scalar", "expected_Zt",
     "ConfigError", "ExperimentConfig",
     "SpectralField", "TorusGrid", "analyze", "pointwise_product",

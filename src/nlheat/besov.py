@@ -1,18 +1,20 @@
 """Littlewood-Paley decomposition and Besov norms for band-limited fields.
 
-The dyadic partition is built from a smooth step so that the telescoping
-identity sum_l chi_l = 1 holds exactly by construction: chi_{-1} equals 1
-on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) - chi_{-1}(x)
-is supported in the annulus B(8/3) \\ B(3/4).  Every norm uses this one
-partition.  L^p norms of the blocks are taken on a dense physical grid (4M
-points per axis; ``block_lp_norms`` takes a finer one as a reference).
+The dyadic partition is fixed and built from a smooth step so that the
+telescoping identity sum_l chi_l = 1 holds exactly by construction: chi_{-1}
+equals 1 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) -
+chi_{-1}(x) is supported in the annulus B(8/3) \\ B(3/4).  L^p norms of the
+blocks are taken on a dense physical grid (4M points per axis;
+``block_lp_norms`` takes a finer one as a reference).
 
-Every block norm goes through one core, ``_block_norms``.  A block whose
-coefficients miss the support of chi_l (read off the zero patterns of the
-coefficients and of the cached multipliers) is 0.0 and is not synthesised.
-The live blocks of as many (row, component) entries as fit in
-``BATCH_BYTES`` of real values, and at least one entry, share one
-synthesis, so that its values, ``abs`` and sup or mean stay in cache.
+Every Hoelder norm goes through ``holder_norms_batch``, which checks each
+field of its stack against the field's own scale (``field.real_fields``) and
+shares one weighting with ``besov_norm``.  All block norms come from one
+core, ``_block_norms``.  A block whose coefficients miss the support of chi_l
+(read off the zero patterns of the coefficients and the cached multipliers)
+is 0.0 and is not synthesised, unless its (row, component) entry holds a
+non-finite coefficient.  The live blocks of as many entries as fit in
+``BATCH_BYTES`` of real values, and at least one, share one synthesis.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import numpy as np
 from scipy import fft as sfft
 
-from .field import SpectralField, TorusGrid, synthesize_coeffs
+from .field import SpectralField, TorusGrid, real_fields, synthesize_coeffs
 
 #: largest real (block, G^d) array one synthesis makes, unless a single
 #: (row, component) entry's live blocks alone are larger
@@ -52,15 +54,15 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Smooth radial dyadic partition of unity on frequency space."""
+    """Smooth radial dyadic partition of unity on frequency space; fixed."""
 
-    inner: float = 0.75   # chi_{-1} == 1 inside this radius
-    outer: float = 4.0 / 3.0  # chi_{-1} == 0 outside this radius
+    INNER = 0.75        # chi_{-1} == 1 inside this radius
+    OUTER = 4.0 / 3.0   # chi_{-1} == 0 outside this radius
 
     def chi_low(self, r) -> np.ndarray:
         """The low-frequency bump chi_{-1} as a function of |xi|."""
         r = np.asarray(r, dtype=float)
-        return _smooth_step(1.0 + (r - self.inner) / (self.outer - self.inner))
+        return _smooth_step(1.0 + (r - self.INNER) / (self.OUTER - self.INNER))
 
     def chi(self, r) -> np.ndarray:
         """The annulus bump chi = chi_{-1}(./2) - chi_{-1}."""
@@ -77,10 +79,10 @@ class DyadicPartition:
 
     def max_level(self, radius: float) -> int:
         """Largest l with chi_l not identically zero inside |k| <= radius:
-        inner 2^l < radius <= inner 2^(l+1), as chi_l = 0 on B(inner 2^l)."""
-        if radius <= self.inner:
+        INNER 2^l < radius <= INNER 2^(l+1), as chi_l = 0 on B(INNER 2^l)."""
+        if radius <= self.INNER:
             return -1
-        return int(math.ceil(math.log2(radius / self.inner))) - 1
+        return int(math.ceil(math.log2(radius / self.INNER))) - 1
 
     @lru_cache(maxsize=32)
     def multipliers(self, grid: TorusGrid) -> np.ndarray:
@@ -90,14 +92,6 @@ class DyadicPartition:
         out = np.stack([self.chi_level(l, r) for l in range(-1, top + 1)])
         out.setflags(write=False)
         return out
-
-
-def lp_block(field: SpectralField, level: int,
-             partition: DyadicPartition | None = None) -> SpectralField:
-    """Frequency localisation Delta_l f = sum_k chi_l(k) f_k e_k."""
-    partition = partition or DyadicPartition()
-    mult = partition.chi_level(level, np.sqrt(field.grid.k_squared))
-    return SpectralField(field.grid, field.coeffs * mult)
 
 
 def _dense_points(grid: TorusGrid) -> int:
@@ -114,8 +108,8 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
     live = (flat != 0).reshape(B * nc, -1) @ (mult != 0).reshape(len(mult), -1).T
-    if not np.isfinite(flat).all():     # inf * 0 is NaN: no block is zero
-        live[:] = True
+    # inf * 0 is NaN: no block of an entry with a non-finite coefficient is zero
+    live[~np.isfinite(flat).reshape(B * nc, -1).all(axis=1)] = True
     entry, level = np.nonzero(live)                     # entry-major pairs
     out = np.zeros((B * nc, len(mult)))
     pts = points or _dense_points(grid)
@@ -135,44 +129,39 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
 
 def block_lp_norms(field: SpectralField, p: float,
                    points: int | None = None) -> np.ndarray:
-    """|Delta_l f|_{L^p} for all levels, per component: shape (L+2, nc).
-
-    L^p is with respect to the normalised measure; computed from values on
-    the dense physical grid, or on ``points`` per axis if given.
-    """
+    """|Delta_l f|_{L^p} for all levels, per component: shape (L+2, nc), in the
+    normalised measure, on the dense grid or on ``points`` per axis."""
     field.require_real()
     return _block_norms(field.coeffs[None], field.grid, p, points)[0]
 
 
-def besov_norm(field: SpectralField, alpha: float, p: float, q: float) -> float:
-    """Besov norm B^alpha_{p,q}; vector fields use the component sum.
+def _weighted_sum(norms: np.ndarray, alpha: float, q: float) -> np.ndarray:
+    """(B, L, nc) block norms to (B,) norms: per component the l^q norm over
+    l of 2^(alpha l) |Delta_l f|, then the sum over the components."""
+    weighted = 2.0 ** (alpha * np.arange(-1, norms.shape[1] - 1))[:, None] * norms
+    per_comp = weighted.max(axis=1) if math.isinf(q) else \
+        (weighted ** q).sum(axis=1) ** (1.0 / q)
+    return per_comp.sum(axis=1)
 
-    The dyadic sum is finite because the field is band-limited.
-    """
+
+def besov_norm(field: SpectralField, alpha: float, p: float, q: float) -> float:
+    """Besov norm B^alpha_{p,q}, summed over the components (a finite dyadic
+    sum, as the field is band-limited)."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
-    norms = block_lp_norms(field, p)                      # (L, nc)
-    levels = np.arange(-1, norms.shape[0] - 1)
-    weighted = 2.0 ** (alpha * levels)[:, None] * norms
-    if math.isinf(q):
-        per_comp = weighted.max(axis=0)
-    else:
-        per_comp = (weighted ** q).sum(axis=0) ** (1.0 / q)
-    return float(per_comp.sum())
+    return float(_weighted_sum(block_lp_norms(field, p)[None], alpha, q)[0])
 
 
 def holder_norm(field: SpectralField, alpha: float) -> float:
-    """Hoelder-Besov norm C^alpha = B^alpha_{inf,inf}."""
-    return besov_norm(field, alpha, math.inf, math.inf)
+    """Hoelder-Besov norm C^alpha = B^alpha_{inf,inf}, the component sum."""
+    return float(holder_norms_batch(field.coeffs[None], field.grid, alpha)[0])
 
 
 def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid,
                        alpha: float) -> np.ndarray:
-    """C^alpha norms of a batch of scalar coefficient cubes, shape (B,).
-
-    ``coeff_stack`` (B, M, ..., M) holds real fields.
-    """
-    SpectralField(grid, coeff_stack).require_real()
-    sup = _block_norms(coeff_stack[:, None], grid, math.inf)[..., 0]
-    levels = np.arange(-1, sup.shape[1] - 1)
-    return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)
+    """C^alpha norms of a (B, nc, M..) stack of real fields, each summed over
+    its components: shape (B,).  A (B, M..) stack holds scalar fields."""
+    coeff_stack = coeff_stack.reshape((len(coeff_stack), -1) + grid.mode_shape)
+    if not real_fields(coeff_stack, grid.dim).all():
+        raise ValueError("a field of the stack is not real")
+    return _weighted_sum(_block_norms(coeff_stack, grid, math.inf), alpha, math.inf)

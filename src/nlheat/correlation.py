@@ -353,18 +353,15 @@ def _coupled_trend(profile_for_N, dim: int, params: ParameterSet, trials: int,
     return TrendReport.from_samples(samples)
 
 
-def moment_experiment_decorrelated(profile_for_N, dim: int, kind: str,
-                                   params: ParameterSet, axis: int,
+def moment_experiment_decorrelated(profile_for_N, dim: int, params: ParameterSet,
                                    trials: int, radii, master_seed: int,
                                    remove_mean: bool = True) -> TrendReport:
-    """Trend of sup_t t^delta |pi_0(P_t X d_i P_t Y)|_{C^beta} across N, coupled
-    as in ``_coupled_trend``; ``kind`` must be ``"adversarial"``: Y = RX."""
-    if kind != "adversarial":
-        raise ValueError(f"unknown pair kind {kind!r}")
+    """Trend of sup_t t^delta |pi_0(P_t X d_1 P_t RX)|_{C^beta} across N, for
+    the adversarial pair Y = RX, coupled as in ``_coupled_trend``."""
     t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
     return _coupled_trend(
         profile_for_N, dim, params, trials, radii, master_seed,
-        lambda X, N: decorrelated_statistic(X, X.rotate(), axis, params.delta,
+        lambda X, N: decorrelated_statistic(X, X.rotate(), 0, params.delta,
                                             params.beta, t_grid, remove_mean))
 
 

@@ -105,8 +105,16 @@ class ExperimentConfig:
             sec[name] = {key: _typed(f"{name}.{key}", given.get(key, default),
                                      type(default))
                          for key, default in defaults.items()}
-        if not sec["experiment"]["radii"]:
-            raise ConfigError("experiment.radii must be a non-empty list")
+        exp, radii = sec["experiment"], sec["experiment"]["radii"] or [0]
+        for where, ok, need in (
+                ("experiment.radii", min(radii) >= 2, "a non-empty list of radii >= 2"),
+                ("experiment.trials", exp["trials"] >= 1, ">= 1"),
+                ("solver.step_factor", sec["solver"]["step_factor"] > 0, "> 0"),
+                ("experiment.reference_radius", doc["kind"] != "besov"
+                 or max(radii) < exp["reference_radius"], "above every besov radius")):
+            if not ok:
+                section, key = where.split(".")
+                raise ConfigError(f"{where} must be {need}, got {sec[section][key]!r}")
         dim, pair = sec.pop("grid")["dim"], tuple(sec.pop("pair").values())
         if not isinstance(doc.get("profile", {}), dict):
             raise ConfigError(f"profile must be a mapping, got {doc['profile']!r}")
@@ -265,8 +273,8 @@ def _moment_trend(args):
     prof_for, params = cfg.profile_for, cfg.parameter_set()
     if z:
         return moment_experiment_Z(prof_for, cfg.dim, params, trials, radii, cfg.seed)
-    return moment_experiment_decorrelated(prof_for, cfg.dim, "adversarial", params, 0,
-                                          trials, radii, cfg.seed)
+    return moment_experiment_decorrelated(prof_for, cfg.dim, params, trials, radii,
+                                          cfg.seed)
 
 
 def _map_trials(worker, tasks, threads: int) -> list:

@@ -169,11 +169,10 @@ class SpectralField:
         return float(np.max(np.abs(self.coeffs - np.conj(flipped))))
 
     def is_real(self) -> bool:
-        scale = 1.0 + float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 1.0
-        return self.reality_defect() <= REALITY_TOL * scale
+        return bool(real_fields(self.coeffs, self.grid.dim))
 
     def require_real(self) -> None:
-        """Raise ValueError unless the field is real (see :meth:`is_real`)."""
+        """Raise ValueError unless the field is real (see :func:`real_fields`)."""
         if not self.is_real():
             raise ValueError(f"field is not real (defect {self.reality_defect():.2e})")
 
@@ -203,11 +202,8 @@ class SpectralField:
 
     def zero_mode(self) -> np.ndarray:
         """Spatial mean (f^a_0)_a as a real vector in E."""
-        vals = self.coeffs[self.grid.zero_mode_index]
-        scale = 1.0 + float(np.max(np.abs(self.coeffs)))
-        if np.max(np.abs(vals.imag)) > REALITY_TOL * scale:
-            raise ValueError("zero mode has non-negligible imaginary part")
-        return vals.real.copy()
+        self.require_real()
+        return self.coeffs[self.grid.zero_mode_index].real.copy()
 
     def remove_mean(self) -> "SpectralField":
         """Project onto zero-mean fields (zero the k=0 coefficient)."""
@@ -233,6 +229,16 @@ class SpectralField:
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
         return SpectralField(self.grid, self.coeffs - other.coeffs)
+
+
+def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Which fields of a (..., nc, M..) stack are real, shape (...,): a field
+    is real when max |f_{-k} - conj(f_k)| over its components and modes is at
+    most REALITY_TOL (1 + max |f_k|), its own scale.  NaN fails the check."""
+    axes = tuple(range(-dim - 1, 0))
+    defect = np.abs(coeffs - np.conj(np.flip(coeffs, axis=axes[1:])))
+    scale = 1.0 + np.abs(coeffs).max(axis=axes, initial=0.0)
+    return defect.max(axis=axes, initial=0.0) <= REALITY_TOL * scale
 
 
 # -- transforms ---------------------------------------------------------------

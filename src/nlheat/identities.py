@@ -96,8 +96,7 @@ def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
           np.max(np.abs(p.project_band(2.0).coeffs - p.coeffs)))
 
     # partition of unity telescopes to 1 on the grid frequencies
-    part = DyadicPartition()
-    mult = part.multipliers(grid)
+    mult = DyadicPartition().multipliers(grid)
     check("dyadic partition of unity", np.max(np.abs(mult.sum(axis=0) - 1.0)),
           1e-10)
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import besov
-from .besov import holder_norm
+from .besov import holder_norms_batch
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .nonlinearity import NonlinearitySpec
 
@@ -250,10 +250,10 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
 def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
                     alpha: float) -> np.ndarray:
     """Hoelder C^alpha norms of the remainder R_t = u_t - P_t u0 - I_t at the
-    snapshot times; ``drift`` maps t to the constant-in-space vector I_t in E."""
-    grid, norms = u0.grid, []
-    for t, f in zip(trajectory.times, trajectory.fields):
-        coeffs = f.coeffs - u0.heat(t).coeffs
-        coeffs[grid.zero_mode_index] -= np.asarray(drift(t), dtype=complex)
-        norms.append(holder_norm(SpectralField(grid, coeffs), alpha))
-    return np.asarray(norms)
+    snapshot times, one stack; ``drift`` maps t to the constant vector I_t in E."""
+    grid, times = u0.grid, trajectory.times
+    stack = np.stack([f.coeffs - u0.heat(t).coeffs
+                      for t, f in zip(times, trajectory.fields)])
+    stack[(slice(None), *grid.zero_mode_index)] -= np.array(
+        [drift(t) for t in times], dtype=complex)
+    return holder_norms_batch(stack, grid, alpha)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from nlheat import besov
-from nlheat.besov import (DyadicPartition, _dense_points, besov_norm,
-                          block_lp_norms, holder_norm, holder_norms_batch)
+from nlheat.besov import (DyadicPartition, _block_norms, _dense_points,
+                          besov_norm, block_lp_norms, holder_norm,
+                          holder_norms_batch)
 from nlheat.field import SpectralField, TorusGrid, synthesize_coeffs
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -145,6 +146,59 @@ def test_infinite_coefficient_matches_reference():
     f.coeffs[0, grid.half_band + 12] = np.nan
     with pytest.raises(ValueError, match="not real"):
         block_lp_norms(f, math.inf)
+
+
+# -- the one Hoelder path over (B, nc, M..) stacks -------------------------------
+
+def field_stack(grid, rows, components, seed=0):
+    """Rows of independent real fields, each damped by its own heat time."""
+    decay = np.exp(-np.multiply.outer(np.geomspace(1e-4, 1e-1, rows), grid.k_squared))
+    return np.stack([random_field(grid, components, seed + r).coeffs
+                     for r in range(rows)]) * decay[:, None]
+
+
+@pytest.mark.parametrize("dim, modes, components", [
+    (1, 257, 2), (1, 195, 2), (3, 9, 9)])
+def test_vector_batch_matches_reference_per_component(dim, modes, components):
+    grid = TorusGrid(dim, modes)
+    if (dim, modes) == (1, 195):    # the top multiplier row rounds to zero
+        assert not DyadicPartition().multipliers(grid)[-1].any()
+    stack = field_stack(grid, 5, components, seed=13)
+    for alpha in (-0.5, 0.25):
+        per_comp = [ref_holder_norms_batch(stack[:, c], grid, alpha)
+                    for c in range(components)]
+        want = np.stack(per_comp, axis=-1).sum(axis=-1)
+        assert np.array_equal(holder_norms_batch(stack, grid, alpha), want)
+        assert [holder_norm(SpectralField(grid, f), alpha) for f in stack] \
+            == list(want)
+
+
+def test_each_field_is_checked_against_its_own_scale():
+    # the batch's largest scale would hide the small field's defect
+    grid = TorusGrid(1, 33)
+    big = 1e6 * random_field(grid, seed=14).coeffs[0]
+    small = random_field(grid, seed=15).coeffs[0]
+    small[grid.half_band + 3] += 1e-8j
+    assert holder_norms_batch(np.stack([big, big]), grid, -0.5).all()
+    with pytest.raises(ValueError, match="not real"):
+        holder_norms_batch(np.stack([big, small]), grid, -0.5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_entry_leaves_other_entries_skipped(monkeypatch):
+    grid = TorusGrid(1, 257)
+    fields = [band_difference(grid, 32, seed=s) for s in range(3)]
+    stack = np.stack([f.coeffs for f in fields])
+    stack[1, 0, grid.half_band + 40] = np.nan
+    mult = DyadicPartition().multipliers(grid)
+    blocks = counting_synthesis(monkeypatch)
+    got = _block_norms(stack, grid, math.inf)
+    # the NaN entry synthesises every level, the others only their live ones
+    live = [int(np.any(mult * f.coeffs != 0, axis=1).sum()) for f in fields]
+    assert len(blocks) == live[0] + len(mult) + live[2] < 3 * len(mult)
+    assert np.isnan(got[1]).all()
+    for row in (0, 2):
+        assert np.array_equal(got[row], ref_block_lp_norms(fields[row], math.inf))
 
 
 # -- skipping ------------------------------------------------------------------

@@ -215,6 +215,25 @@ class TestConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert (f"{section}.{key}" if key else section) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, section, key, value", [
+        ("inflate", "experiment", "radii", [1]),
+        ("inflate", "experiment", "radii", [0, 8]),
+        ("inflate", "experiment", "trials", 0),
+        ("inflate", "solver", "step_factor", 0),
+        ("inflate", "solver", "step_factor", -0.5),
+        ("besov", "experiment", "reference_radius", 16)],
+        ids=["radius-1", "radius-0", "trials-0", "step-factor-0",
+             "step-factor-negative", "radius-at-reference"])
+    def test_out_of_range_values_are_usage_errors_that_name_the_key(
+            self, tmp_path, capsys, kind, section, key, value):
+        doc = tiny_doc(kind=kind)
+        doc.setdefault(section, {})[key] = value
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_radii_rejected(self):
         doc = tiny_doc()
         doc["experiment"]["radii"] = []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlheat.besov import holder_norm
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -336,13 +337,36 @@ class TestPicard:
             picard_nonlinearity(random_real(grid), 0.0, zero_spec(1, 1))
 
 
+def snapshot_remainder_norms(trajectory, u0, drift, alpha):
+    """Reference for ``remainder_norms``: one Hoelder norm per snapshot."""
+    grid, norms = u0.grid, []
+    for t, f in zip(trajectory.times, trajectory.fields):
+        coeffs = f.coeffs - u0.heat(t).coeffs
+        coeffs[grid.zero_mode_index] -= np.asarray(drift(t), dtype=complex)
+        norms.append(holder_norm(SpectralField(grid, coeffs), alpha))
+    return np.asarray(norms)
+
+
 class TestRemainder:
     def test_linear_flow_zero_remainder(self):
         grid = TorusGrid(1, 9)
         u0 = random_real(grid, seed=11)
         traj = solve(u0, zero_spec(1, 1), SolveConfig(0.2, 20))
-        norms = remainder_norms(traj, u0, lambda t: np.zeros(1), -0.25)
-        assert np.max(norms) < 1e-10
+        for norms_of in (remainder_norms, snapshot_remainder_norms):
+            assert np.max(norms_of(traj, u0, lambda t: np.zeros(1), -0.25)) < 1e-10
+
+    @pytest.mark.parametrize("dim, modes, spec", [
+        (1, 33, preset_antisym2(1)), (2, 5, preset_dym(2))], ids=["antisym2", "dym"])
+    def test_stacked_norms_equal_per_snapshot_norms(self, dim, modes, spec):
+        grid = TorusGrid(dim, modes, 2 * modes)
+        u0 = SpectralField(grid, 0.3 * random_real(grid, spec.dim_E, seed=12).coeffs)
+        T = 0.05
+        traj = solve(u0, spec, SolveConfig(T, 8, snapshot_times=(T / 4, T / 2)))
+        assert traj.status == "completed" and len(traj.times) == 4
+        direction = np.arange(1.0, spec.dim_E + 1)
+        drift = lambda t: 7.0 * t * direction
+        assert np.array_equal(remainder_norms(traj, u0, drift, -0.4),
+                              snapshot_remainder_norms(traj, u0, drift, -0.4))
 
     def test_quadrature_oracle(self):
         """Small two-mode data: the remainder is the Duhamel integral of the
