@@ -11,25 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (KINDS, ConfigError, ExperimentConfig, _trial_grid,
+from .experiments import (KINDS, ConfigError, ExperimentConfig,
                           run_besov_convergence, run_inflation, run_tables,
-                          trial_faults, write_csv, write_records_jsonl)
+                          trial_data, trial_faults, write_csv, write_records_jsonl)
 from .gfsf import write_field
 from .identities import run_identity_suite
-from .sampling import GfsSpec, sample_E_valued, stream
 from .solver import solve
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_yaml(args.config)
+    cfg = ExperimentConfig.from_yaml(args.config, **{
+        key: getattr(args, key) for key in ("seed", "threads", "out")
+        if getattr(args, key) is not None})
     if COMMANDS[cfg.kind] is not COMMANDS[args.command]:
         raise ConfigError(f"nlheat {args.command} cannot run a {cfg.kind!r} config")
-    overrides = {key: getattr(args, key) for key in ("seed", "threads", "out")
-                 if getattr(args, key) is not None}
-    return replace(cfg, **overrides)
+    return cfg
 
 
 def _emit(summary: dict, out_dir: Path) -> None:
@@ -42,12 +40,8 @@ def _emit(summary: dict, out_dir: Path) -> None:
 
 def _first_data(cfg: ExperimentConfig):
     """Nonlinearity, first radius and trial 0's X at that radius."""
-    nl = cfg.nonlinearity_spec()
-    radius = cfg.radii()[0]
-    grid = _trial_grid(cfg, radius, nl)
-    spec = GfsSpec.uniform(grid, cfg.profile_for(radius), nl.dim_E)
-    return nl, radius, sample_E_valued(
-        spec, [stream(cfg.seed, 0, c) for c in range(nl.dim_E)])
+    nl, radius = cfg.nonlinearity_spec(), cfg.radii()[0]
+    return nl, radius, trial_data(cfg, nl, radius, 0)[2]
 
 
 def cmd_sample(args) -> int:

@@ -60,10 +60,6 @@ class ParameterSet:
             raise ValueError(f"delta must lie in (1 - d/4, 1) for d = {dim}")
         return self
 
-    @classmethod
-    def default(cls, dim: int = 1) -> "ParameterSet":
-        return cls().check_dim(dim)
-
 
 def geometric_grid(t_max: float, t_min: float,
                    per_decade: int = 40) -> np.ndarray:

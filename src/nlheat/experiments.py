@@ -105,16 +105,23 @@ class ExperimentConfig:
             sec[name] = {key: _typed(f"{name}.{key}", given.get(key, default),
                                      type(default))
                          for key, default in defaults.items()}
+        # the seed is mandatory: no run draws on entropy
+        seed = _typed("seed", doc.get("seed"), int)
+        threads = _typed("threads", doc.get("threads", 1), int)
         exp, radii = sec["experiment"], sec["experiment"]["radii"] or [0]
-        for where, ok, need in (
-                ("experiment.radii", min(radii) >= 2, "a non-empty list of radii >= 2"),
-                ("experiment.trials", exp["trials"] >= 1, ">= 1"),
-                ("solver.step_factor", sec["solver"]["step_factor"] > 0, "> 0"),
-                ("experiment.reference_radius", doc["kind"] != "besov"
-                 or max(radii) < exp["reference_radius"], "above every besov radius")):
+        for where, value, ok, need in (
+                ("seed", seed, seed >= 0, ">= 0"),
+                ("threads", threads, threads >= 1, ">= 1"),
+                ("experiment.radii", exp["radii"], min(radii) >= 2,
+                 "a non-empty list of radii >= 2"),
+                ("experiment.trials", exp["trials"], exp["trials"] >= 1, ">= 1"),
+                ("solver.step_factor", sec["solver"]["step_factor"],
+                 sec["solver"]["step_factor"] > 0, "> 0"),
+                ("experiment.reference_radius", exp["reference_radius"],
+                 doc["kind"] != "besov" or max(radii) < exp["reference_radius"],
+                 "above every besov radius")):
             if not ok:
-                section, key = where.split(".")
-                raise ConfigError(f"{where} must be {need}, got {sec[section][key]!r}")
+                raise ConfigError(f"{where} must be {need}, got {value!r}")
         dim, pair = sec.pop("grid")["dim"], tuple(sec.pop("pair").values())
         if not isinstance(doc.get("profile", {}), dict):
             raise ConfigError(f"profile must be a mapping, got {doc['profile']!r}")
@@ -127,17 +134,18 @@ class ExperimentConfig:
                         for key, v in profile.items() if key != "kind"})
         if pkind == "power":
             profile.setdefault("gamma", 1.0 - dim)
-        # the seed is mandatory: no run draws on entropy
-        return cls(kind=doc["kind"], seed=_typed("seed", doc.get("seed"), int),
-                   dim=dim, out=str(doc.get("out", "out")),
-                   threads=_typed("threads", doc.get("threads", 1), int),
+        return cls(kind=doc["kind"], seed=seed, dim=dim,
+                   out=str(doc.get("out", "out")), threads=threads,
                    profile=profile, pair=pair, **sec)
 
     @classmethod
-    def from_yaml(cls, path) -> "ExperimentConfig":
+    def from_yaml(cls, path, **overrides) -> "ExperimentConfig":
+        """The YAML document at ``path``, its top-level entries replaced by
+        ``overrides`` before any check, so that both are checked alike."""
         import yaml
         with open(path) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+            doc = yaml.safe_load(fh)
+        return cls.from_dict({**doc, **overrides} if isinstance(doc, dict) else doc)
 
     # -- derived objects -----------------------------------------------------
 
@@ -195,6 +203,21 @@ def _base_point(cfg: ExperimentConfig, dim_E: int):
     return np.asarray(base, float)
 
 
+def trial_data(cfg: ExperimentConfig, nl: NonlinearitySpec, radius: int,
+               trial: int):
+    """Grid, variance profile, X and the adversarial and control Y of one
+    (radius, trial): X on streams 0..nc-1, both Y arms on nc..2nc-1."""
+    grid = _trial_grid(cfg, radius, nl)
+    prof = cfg.profile_for(radius)
+    spec, nc = GfsSpec.uniform(grid, prof, nl.dim_E), nl.dim_E
+
+    def streams(first):
+        return [stream(cfg.seed, trial, first + c) for c in range(nc)]
+
+    X, Y_adv = build_adversarial_pair(spec, *cfg.pair, streams(0), streams(nc))
+    return grid, prof, X, Y_adv, sample_E_valued(spec, streams(nc))
+
+
 def _inflation_trial(args):
     """One (radius, trial) of the inflation experiment, both arms.
 
@@ -206,22 +229,11 @@ def _inflation_trial(args):
     """
     cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()
-    a, b = cfg.pair
-    grid = _trial_grid(cfg, radius, nl)
-    prof = cfg.profile_for(radius)
-    spec = GfsSpec.uniform(grid, prof, nl.dim_E)
-    nc = nl.dim_E
-    epsilon, base = cfg.epsilon(), _base_point(cfg, nc)
-
-    def streams(first):     # X uses streams 0..nc-1, both Y arms nc..2nc-1
-        return [stream(cfg.seed, trial, first + c) for c in range(nc)]
-
-    X, Y_adv = build_adversarial_pair(spec, a, b, streams(0), streams(nc))
-    Y_ctl = sample_E_valued(spec, streams(nc))
-
+    grid, prof, X, Y_adv, Y_ctl = trial_data(cfg, nl, radius, trial)
+    epsilon, base = cfg.epsilon(), _base_point(cfg, nl.dim_E)
     params = cfg.parameter_set()
     solve_cfg = cfg.solve_config(radius)
-    direction = drift_direction(nl, a, b)
+    direction = drift_direction(nl, *cfg.pair)
 
     def drift(t):
         # quadratic in the Gaussian part, which the data scale by epsilon
@@ -278,9 +290,11 @@ def _moment_trend(args):
 
 
 def _map_trials(worker, tasks, threads: int) -> list:
+    """``worker`` over ``tasks``, in task order, in at most ``threads``
+    processes and never more than there are tasks."""
     if threads <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -299,11 +313,8 @@ def run_inflation(cfg: ExperimentConfig) -> dict:
         raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
     _base_point(cfg, nl.dim_E)          # a bad base fails before any trial
     radii = cfg.radii()
-    records = []
-    for radius in radii:
-        tasks = [(cfg, radius, t) for t in range(cfg.trials())]
-        records.extend(_map_trials(_inflation_trial, tasks, cfg.threads))
-    records.sort(key=lambda r: (r["radius"], r["trial"]))
+    tasks = [(cfg, radius, t) for radius in radii for t in range(cfg.trials())]
+    records = _map_trials(_inflation_trial, tasks, cfg.threads)
 
     summary = {"kind": cfg.kind, "epsilon": cfg.epsilon(), "radii": radii,
                "per_radius": {}}
@@ -399,7 +410,6 @@ def run_besov_convergence(cfg: ExperimentConfig) -> dict:
     """Cauchy norms |X^N - X^{N_ref}| across N; medians and verdict."""
     tasks = [(cfg, t) for t in range(cfg.trials())]
     records = _map_trials(_besov_trial, tasks, cfg.threads)
-    records.sort(key=lambda r: r["trial"])
     radii = cfg.radii()
     medians = {N: float(np.median([r["norms"][N] for r in records]))
                for N in radii}

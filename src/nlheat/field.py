@@ -225,11 +225,6 @@ class SpectralField:
             raise ValueError("grid mismatch")
         return SpectralField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
 
 def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Which fields of a (..., nc, M..) stack are real, shape (...,): a field

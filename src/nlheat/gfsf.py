@@ -20,7 +20,7 @@ MAGIC = b"GFSF"
 VERSION = 1
 
 
-def write_field(path, field: SpectralField, sidecar: bool = True) -> None:
+def write_field(path, field: SpectralField) -> None:
     path = Path(path)
     grid = field.grid
     header = MAGIC + struct.pack("<BIII", VERSION, grid.dim,
@@ -28,15 +28,14 @@ def write_field(path, field: SpectralField, sidecar: bool = True) -> None:
     flat = np.ascontiguousarray(field.coeffs, dtype=np.complex128)
     body = flat.astype("<c16").tobytes()
     path.write_bytes(header + body)
-    if sidecar:
-        meta = {"magic": "GFSF", "version": VERSION, "dim": grid.dim,
-                "modes_per_axis": grid.modes_per_axis,
-                "components": field.components}
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(meta, indent=2) + "\n")
+    meta = {"magic": "GFSF", "version": VERSION, "dim": grid.dim,
+            "modes_per_axis": grid.modes_per_axis,
+            "components": field.components}
+    path.with_suffix(path.suffix + ".json").write_text(
+        json.dumps(meta, indent=2) + "\n")
 
 
-def read_field(path, points_per_axis: int = 0) -> SpectralField:
+def read_field(path) -> SpectralField:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError("not a GFSF file")
@@ -47,5 +46,5 @@ def read_field(path, points_per_axis: int = 0) -> SpectralField:
     if len(raw) != 17 + 16 * count:
         raise ValueError(f"GFSF file has {len(raw)} bytes, expected {17 + 16 * count}")
     coeffs = np.frombuffer(raw[17:], dtype="<c16", count=count).astype(complex)
-    grid = TorusGrid(dim, modes, points_per_axis)
+    grid = TorusGrid(dim, modes)
     return SpectralField(grid, coeffs.reshape((components,) + grid.mode_shape))

@@ -75,13 +75,18 @@ class NonlinearitySpec:
 
     @cached_property
     def plan(self) -> dict:
-        """Non-zero terms as name -> (columns, *slot indices), built once.
+        """Non-zero terms as name -> (columns, *slots), built once.
 
-        For ``B`` column s is B[i_s, :, a_s, b_s] over the (i, a, b) slots
-        with a non-zero column; for ``p0``..``p3`` see ``_monomials``.
+        Every term has one form over the factor stack F = [u; d_1 u; ...;
+        d_dim u], dim_E rows per block: it adds columns @ (F[slots[0]] *
+        F[slots[1]] * ...), each slot array giving one row of F per column.
+        ``B`` has the slots (a, (i + 1) dim_E + b), so its column
+        B[i, :, a, b] multiplies u_a d_i u_b, over the (i, a, b) with a
+        non-zero column; the monomials of ``p0``..``p3`` (see
+        ``_monomials``) read u only, and p0's empty product is 1.
         """
-        nz = np.nonzero(np.any(self.B != 0, axis=1))
-        terms = {"B": (self.B[nz[0], :, nz[1], nz[2]].T, *nz)}
+        i, a, b = np.nonzero(np.any(self.B != 0, axis=1))
+        terms = {"B": (self.B[i, :, a, b].T, a, (i + 1) * self.dim_E + b)}
         terms.update((f"p{k}", _monomials(getattr(self, f"p{k}"), k))
                      for k in range(4))
         return {name: term for name, term in terms.items() if term[0].size}
@@ -91,10 +96,6 @@ class NonlinearitySpec:
 
     def has_cubic(self) -> bool:
         return "p3" in self.plan
-
-    def bilinear_on_basis(self, i: int, a: int, b: int) -> np.ndarray:
-        """B_i(T^a, T^b) as a vector in E (0-based indices)."""
-        return self.B[i, :, a, b].copy()
 
 
 def _monomials(tensor: np.ndarray, degree: int) -> tuple:
@@ -132,7 +133,7 @@ def drift_direction(spec: NonlinearitySpec, a: int, b: int) -> np.ndarray:
     so the mean drift of the spatial mean points along
     B_1(T^b, T^a) - B_1(T^a, T^b).
     """
-    return spec.bilinear_on_basis(0, b, a) - spec.bilinear_on_basis(0, a, b)
+    return spec.B[0, :, b, a] - spec.B[0, :, a, b]
 
 
 # -- presets -------------------------------------------------------------------

@@ -52,10 +52,6 @@ class VarianceProfile:
         return cls("white", cutoff)
 
     @classmethod
-    def power(cls, cutoff: float, gamma: float) -> "VarianceProfile":
-        return cls("power", cutoff, gamma=gamma)
-
-    @classmethod
     def power_log(cls, dim: int, cutoff: float, log_theta: float = -1.0,
                   loglog_eta: float = -1.0, k0: float = 3.0,
                   floor: float = 1.0) -> "VarianceProfile":

@@ -85,68 +85,72 @@ def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
     """Fourier coefficients of B(u, Du) + P(u) and the physical sup of u.
 
     On the flattened oversampled grid, each non-zero term of ``spec.plan``
-    is one matrix product: its columns times u_a d_i u_b over the B slots,
-    or times the distinct monomials u_a u_b ... of p0..p3.  The products
-    run over equal point chunks, as many as leave the widest factor array
-    within ``besov.BATCH_BYTES``, each added into its slice of one output.
-    The result is analysed back onto the working band (dealiased for the
+    is one matrix product: its columns times the products of its slot rows
+    of the factor stack F = [u; d_1 u; ...; d_d u].  The products run over
+    equal point chunks, as many as leave the widest factor array within
+    ``besov.BATCH_BYTES``, each added into its slice of one output.  The
+    result is analysed back onto the working band (dealiased for the
     polynomial degrees actually present).
     """
+    return _rhs(coeffs, grid, *_layout(spec, grid, len(coeffs)))
+
+
+def _layout(spec: NonlinearitySpec, grid: TorusGrid, components: int) -> tuple:
+    """Check ``spec`` against the grid and the field's component count, then
+    lay out its plan: the point slices of the contraction and the arrays
+    that every call reuses, the factor stack F (u, and d_i u when B is
+    present, dim_E rows per block) and the output."""
     if spec.dim != grid.dim:
         raise ValueError("nonlinearity and field dimension mismatch")
-    if spec.dim_E != coeffs.shape[0]:
+    if spec.dim_E != components:
         raise ValueError("nonlinearity and field component mismatch")
     if spec.has_cubic() and not grid.cubic_headroom():
         raise ValueError("cubic nonlinearity needs G >= 2M oversampling")
     if spec.has_quadratic() and not grid.quadratic_headroom():
         raise ValueError("quadratic nonlinearity needs G >= ceil(3M/2)")
-    return _rhs(coeffs, grid, spec.plan, *_layout(spec.plan, grid, len(coeffs)))
-
-
-def _layout(plan: dict, grid: TorusGrid, components: int) -> tuple:
-    """Point slices of the contraction, and the arrays that every call reuses."""
+    plan = spec.plan
     rows = max([cols.shape[1] for cols, *_ in plan.values()], default=1)
     n, width = grid.points_per_axis ** grid.dim, max(1, besov.BATCH_BYTES // (8 * rows))
     # no one-point chunk: BLAS takes it as a matrix-vector product, which
     # sums in another order, so the result would depend on the chunking
     count = max(1, min(-(-n // width), n // 2))
-    return ([slice(j * n // count, (j + 1) * n // count) for j in range(count)],
+    blocks = 1 + grid.dim * ("B" in plan)
+    return (plan, [slice(j * n // count, (j + 1) * n // count) for j in range(count)],
             np.empty((2, rows, -(-n // count))),
-            np.empty((grid.dim, components, n)) if "B" in plan else None,
-            np.empty((components, n)))
+            np.empty((blocks * components, n)), np.empty((components, n)))
 
 
 def _rhs(coeffs: np.ndarray, grid: TorusGrid, plan: dict, chunks: list,
-         work: np.ndarray, du, out: np.ndarray) -> tuple[np.ndarray, float]:
+         work: np.ndarray, factors: np.ndarray,
+         out: np.ndarray) -> tuple[np.ndarray, float]:
     """``nonlinear_rhs_coeffs`` once the spec is checked and laid out."""
-    u_phys = synthesize_coeffs(coeffs, grid)            # (nE, G..)
-    sup_u = float(max(u_phys.max(), -u_phys.min())) if u_phys.size else 0.0
-    u = u_phys.reshape(len(u_phys), -1)
-    if du is not None:  # per axis: one stack of 3 nE fields is twice as slow
-        for axis, ik in enumerate(grid.derivative_multipliers):
-            du[axis] = synthesize_coeffs(ik * coeffs, grid).reshape(u.shape)
+    u = synthesize_coeffs(coeffs, grid)                 # (nE, G..)
+    sup_u = float(max(u.max(), -u.min())) if u.size else 0.0
+    blocks = factors.reshape((-1,) + u.shape)
+    blocks[0] = u
+    # per axis: one stack of 3 nE fields is twice as slow
+    for block, ik in zip(blocks[1:], grid.derivative_multipliers):
+        block[...] = synthesize_coeffs(ik * coeffs, grid)
     out.fill(0.0)
     for part in chunks:
-        _contract(plan, out[:, part], u[:, part],
-                  None if du is None else du[..., part], work)
-    return analyze_values(out.reshape(u_phys.shape), grid), sup_u
+        _contract(plan, out[:, part], factors[:, part], work)
+    return analyze_values(out.reshape(u.shape), grid), sup_u
 
 
-def _contract(plan: dict, out: np.ndarray, u: np.ndarray, du, work) -> None:
-    """out += each plan term's columns times its factor rows, built in work."""
-    n = u.shape[1]
-    for name, (cols, *slots) in plan.items():
+def _contract(plan: dict, out: np.ndarray, factors: np.ndarray,
+              work: np.ndarray) -> None:
+    """out += each plan term's columns times the product of its slot rows
+    of ``factors``, built in work (the empty product of p0: ones)."""
+    n = factors.shape[1]
+    for cols, *slots in plan.values():
         rows, other = work[0, :cols.shape[1], :n], work[1, :cols.shape[1], :n]
-        if name == "B":
-            np.take(u, slots[1], axis=0, out=rows, mode="clip")  # "raise" copies
-            np.take(du.reshape(-1, n), slots[0] * len(u) + slots[2], axis=0,
-                    out=other, mode="clip")
-            np.multiply(rows, other, out=rows)
+        if slots:
+            np.take(factors, slots[0], axis=0, out=rows, mode="clip")  # "raise" copies
         else:
-            rows[:] = 1.0
-            for slot in slots:
-                np.take(u, slot, axis=0, out=other, mode="clip")
-                np.multiply(rows, other, out=rows)
+            rows.fill(1.0)
+        for slot in slots[1:]:
+            np.take(factors, slot, axis=0, out=other, mode="clip")
+            np.multiply(rows, other, out=rows)
         out += cols @ rows
 
 
@@ -187,14 +191,14 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     """
     grid = u0.grid
     u0.require_real()
-    plan, layout = spec.plan, _layout(spec.plan, grid, spec.dim_E)
+    layout = _layout(spec, grid, len(u0.coeffs))
     t_end, tol, k2 = config.t_end, config.tol, grid.k_squared
     h = t_end / config.steps * (1.0 if tol is None else START_FRACTION)
     pending = sorted(min(max(s, 0.0), t_end) for s in (*config.snapshot_times, t_end))
     u = u0.coeffs.copy()                # never written in place from here
     times, fields = [0.0], [SpectralField(grid, u)]
     zt, zpath = [0.0], [u[grid.zero_mode_index].real.copy()]
-    n0, sup_u = nonlinear_rhs_coeffs(u, grid, spec)      # checks the spec once
+    n0, sup_u = _rhs(u, grid, *layout)
     status, sups, rejected, h_min = "completed", [sup_u], 0, h
     t, h_phi, last = 0.0, None, False
     while not last:
@@ -212,7 +216,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
             decay, hphi1, hphi2 = np.exp(z), h * _phi1(z), h * _phi2(z)
         h_min = min(h_min, h)
         stage = decay * u + hphi1 * n0
-        n1, sup_stage = _rhs(stage, grid, plan, *layout)
+        n1, sup_stage = _rhs(stage, grid, *layout)
         sups.append(sup_stage)
         correction = hphi2 * (n1 - n0)
         if tol is not None:
@@ -238,7 +242,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
                 times.append(t_s)
                 fields.append(SpectralField(grid, u_s))
         if not last:
-            n0, sup_u = _rhs(u, grid, plan, *layout)
+            n0, sup_u = _rhs(u, grid, *layout)
             sups.append(sup_u)
 
     return Trajectory(times, fields, np.asarray(zt), np.asarray(zpath), status,

@@ -25,7 +25,7 @@ from spec_helpers import Z_variance
 
 class TestParameterSet:
     def test_defaults_admissible(self):
-        ps = ParameterSet.default(1)
+        ps = ParameterSet().check_dim(1)
         assert -0.5 < ps.beta_hat < 0.0
 
     def test_invalid_beta(self):
@@ -150,7 +150,7 @@ class TestDrift:
         assert abs(fd - expected_Zt(prof, 1, t)) < 1e-4 * expected_Zt(prof, 1, t)
 
     def test_magnitude_nondecreasing(self):
-        prof = VarianceProfile.power(16, -1.0)
+        prof = VarianceProfile("power", 16, gamma=-1.0)
         t = np.linspace(0.0, 0.5, 40)
         mags = drift_scalar(prof, 1, t)
         assert np.all(np.diff(mags) >= 0)

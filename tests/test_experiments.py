@@ -71,6 +71,29 @@ VERDICT_BREAKS = {
 }
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A process pool that starts no process: it maps in this one and
+    records the ``max_workers`` of each pool made."""
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return map(worker, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    return made
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -181,7 +204,7 @@ class TestConfig:
             "profile": {"kind": "powerlog"}, "params": {},
             "experiment": {"radii": [4]}})
         assert cfg.profile_for(16) == VarianceProfile.power_log(dim, 16)
-        assert cfg.parameter_set() == ParameterSet.default(dim)
+        assert cfg.parameter_set() == ParameterSet().check_dim(dim)
 
     def test_readme_config_block_lists_every_key_with_its_default(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -232,6 +255,23 @@ class TestConfig:
         p.write_text(yaml.safe_dump(doc))
         assert main([kind, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("threads", 0),
+                                            ("threads", -2)])
+    @pytest.mark.parametrize("given", ["file", "flag"])
+    def test_bad_seed_and_threads_name_the_key(self, tmp_path, capsys, key,
+                                               value, given):
+        doc, flags = tiny_doc(), []
+        if given == "file":
+            doc[key] = value
+        else:
+            flags = [f"--{key}", str(value)]
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["inflate", "--config", str(p), *flags,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_empty_radii_rejected(self):
@@ -297,6 +337,19 @@ class TestInflation:
         r1 = run_inflation(cfg1)
         r2 = run_inflation(cfg2)
         assert r1["records"] == r2["records"]
+
+    def test_pool_never_outgrows_its_tasks(self, fake_pool):
+        for threads, count in ((4, 2), (4, 3), (2, 5)):
+            got = experiments._map_trials(abs, [-t for t in range(count)], threads)
+            assert got == list(range(count))
+        assert fake_pool == [2, 3, 2]
+
+    def test_one_pool_serves_a_sweep(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(experiments, "_inflation_trial", fake_trials({}))
+        summary = run_inflation(ExperimentConfig.from_dict(tiny_doc(threads=8)))
+        assert fake_pool == [6]
+        assert [(r["radius"], r["trial"]) for r in summary["records"]] == \
+            [(N, t) for N in (8, 16) for t in range(3)]
 
     def test_control_arm_shares_X(self):
         # both arms of a trial consume identical X streams
@@ -667,6 +720,15 @@ class TestCli:
         assert f.components == 2
         assert f.grid.modes_per_axis == 17
 
+    def test_sample_writes_trial_zero_X(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(tiny_doc(kind="sample")))
+        assert main(["sample", "--config", str(p),
+                     "--out", str(tmp_path / "s")]) == 0
+        X = read_field(tmp_path / "s" / "sample.gfsf")
+        rec = _inflation_trial((ExperimentConfig.from_dict(tiny_doc()), 8, 0))
+        assert float(np.sum(np.abs(X.coeffs))) == rec["x_checksum"]
+
     def test_solve_blowup_writes_no_final_field(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump(tiny_doc(
@@ -714,7 +776,7 @@ class TestGfsf:
         X = sample_real_gfs(VarianceProfile.white(4), TorusGrid(1, 9),
                             stream(1, 0))
         path = tmp_path / "x.gfsf"
-        write_field(path, X, sidecar=False)
+        write_field(path, X)
         raw = path.read_bytes()
         path.write_bytes(raw + b"\x00" if delta > 0 else raw[:-1])
         with pytest.raises(ValueError, match="bytes"):

@@ -38,8 +38,8 @@ class TestWitness:
     def test_antisym2_witness(self):
         spec = preset_antisym2(1)
         assert asymmetry_witness(spec) == (0, 0, 1)
-        assert np.allclose(spec.bilinear_on_basis(0, 0, 1), [1.0, 0.0])
-        assert np.allclose(spec.bilinear_on_basis(0, 1, 0), [-1.0, 0.0])
+        assert np.allclose(spec.B[0, :, 0, 1], [1.0, 0.0])
+        assert np.allclose(spec.B[0, :, 1, 0], [-1.0, 0.0])
 
     def test_symmetric_spec_has_no_witness(self):
         # componentwise product: B_1(x, y)_c = x_c y_c, symmetric
@@ -66,11 +66,11 @@ class TestWitness:
         perm = np.roll(np.arange(spec.dim_E), 1)
         p = permuted(spec, perm)
         i, a, b = asymmetry_witness(spec)
-        lhs = spec.bilinear_on_basis(i, a, b)
+        lhs = spec.B[i, :, a, b]
         # the permuted tensor evaluated on permuted inputs gives permuted output
         pa = int(np.argwhere(perm == a)[0, 0])
         pb = int(np.argwhere(perm == b)[0, 0])
-        rhs = p.bilinear_on_basis(i, pa, pb)
+        rhs = p.B[i, :, pa, pb]
         assert np.allclose(lhs[perm], rhs)
 
 

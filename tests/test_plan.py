@@ -78,6 +78,12 @@ def test_plan_keeps_only_nonzero_terms():
     # 90 non-zero (i, a, b) slots of B, each column one entry
     assert plan["B"][0].shape == (9, 90)
     assert np.count_nonzero(spec.B) == 90
+    # B's slots are rows (a, (i + 1) dim_E + b) of the stack [u; d_1 u; ...]
+    cols, a, row = plan["B"]
+    block, b = np.divmod(row, spec.dim_E)
+    assert np.all(a < spec.dim_E) and np.all((block >= 1) & (block <= 3))
+    assert np.array_equal(cols, spec.B[block - 1, :, a, b].T)
+    assert set(zip(block - 1, a, b)) == set(zip(*np.nonzero(spec.B.any(axis=1))))
     cols, a, b, e = plan["p3"]
     assert cols.shape[0] == 9 and np.all(cols.any(axis=0))
     assert np.all(a <= b) and np.all(b <= e)

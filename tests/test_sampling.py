@@ -16,7 +16,7 @@ class TestVarianceProfile:
         assert p.sigma2_from_r2(25.0) == 0.0
 
     def test_power_values(self):
-        p = VarianceProfile.power(8, -2.0)
+        p = VarianceProfile("power", 8, gamma=-2.0)
         assert abs(p.sigma2_from_r2(16.0) - 1.0 / 16.0) < 1e-14
 
     def test_powerlog_floor_region(self):
@@ -67,7 +67,7 @@ class TestSampler:
     def test_coefficient_variance_matches_profile(self):
         # average |X_k|^2 over the half-space and many draws vs sigma^2
         grid = TorusGrid(1, 65)
-        prof = VarianceProfile.power(32, -1.0)
+        prof = VarianceProfile("power", 32, gamma=-1.0)
         mask = half_space_mask(grid)
         acc = np.zeros(grid.mode_shape)
         trials = 400

@@ -221,6 +221,15 @@ class TestConsistency:
         sup0 = nonlinear_rhs_coeffs(u0.coeffs, grid, preset_antisym2(1))[1]
         assert traj.sup_max >= sup0 > 0
 
+    def test_one_checked_layout_per_solve(self, monkeypatch):
+        import nlheat.solver as solver_module
+        calls, layout = [], solver_module._layout
+        monkeypatch.setattr(solver_module, "_layout",
+                            lambda *a: calls.append(1) or layout(*a))
+        u0 = random_real(TorusGrid(1, 33), components=2, seed=4)
+        traj = solve(u0, preset_antisym2(1), SolveConfig(0.01, 7))
+        assert traj.steps == 7 and len(calls) == 1
+
 
 class TestController:
     """Step-size control (``SolveConfig.tol`` set)."""
