@@ -3,18 +3,23 @@
 The dyadic partition is fixed and built from a smooth step so that the
 telescoping identity sum_l chi_l = 1 holds exactly by construction: chi_{-1}
 equals 1 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) -
-chi_{-1}(x) is supported in the annulus B(8/3) \\ B(3/4).  L^p norms of the
-blocks are taken on a dense physical grid (4M points per axis;
-``block_lp_norms`` takes a finer one as a reference).
+chi_{-1}(x) is supported in the annulus B(8/3) \\ B(3/4).
+
+Block Delta_l f has its coefficients in the smallest sub-cube |k_i| <= K_l
+that holds the support of chi_l (K_l = K where chi_l is zero on the cube), and
+is sampled there on P_l = ``_dense_points`` of that sub-cube per axis (the
+whole grid's P where K_l = K). Its sampled max s bounds sup|Delta_l f| within
+[s, sec(pi K_l / P_l)^d s] (Ehlich-Zeller), with K_l / P_l < 1/8.
+``block_lp_norms(points=...)`` samples every level on the whole cube instead.
 
 Every Hoelder norm goes through ``holder_norms_batch``, which checks each
-field of its stack against the field's own scale (``field.real_fields``) and
-shares one weighting with ``besov_norm``.  All block norms come from one
-core, ``_block_norms``.  A block whose coefficients miss the support of chi_l
-(read off the zero patterns of the coefficients and the cached multipliers)
-is 0.0 and is not synthesised, unless its (row, component) entry holds a
-non-finite coefficient.  The live blocks of as many entries as fit in
-``BATCH_BYTES`` of real values, and at least one, share one synthesis.
+field against its own scale (``field.real_fields``) and shares one weighting
+with ``besov_norm``. All block norms come from one core, ``_block_norms``. A
+block whose coefficients miss the support of chi_l (read off the zero patterns
+of the coefficients and the cached multipliers) is 0.0 and is not synthesised,
+unless its (row, component) entry holds a non-finite coefficient. Level by
+level, the live blocks are synthesised in chunks of at most ``BATCH_BYTES`` of
+real values, and at least one block.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from scipy import fft as sfft
 
 from .field import SpectralField, TorusGrid, real_fields, synthesize_coeffs
 
-#: largest real (block, G^d) array one synthesis makes, unless a single
-#: (row, component) entry's live blocks alone are larger
+#: largest real array one synthesis makes, unless a single block is larger
 BATCH_BYTES = 512 * 2 ** 10
 
 
@@ -93,6 +97,18 @@ class DyadicPartition:
         out.setflags(write=False)
         return out
 
+    @lru_cache(maxsize=32)
+    def level_grids(self, grid: TorusGrid) -> tuple:
+        """Per level, (the grid of its sub-cube |k_i| <= K_l, P_l); cached."""
+        K = grid.half_band
+        cheb = np.abs(np.indices(grid.mode_shape) - K).max(axis=0)
+        out = []
+        for row in self.multipliers(grid):
+            k = int(cheb[row != 0].max()) if row.any() else K
+            sub = grid if k == K else TorusGrid(grid.dim, 2 * k + 1)
+            out.append((sub, _dense_points(sub)))
+        return tuple(out)
+
 
 def _dense_points(grid: TorusGrid) -> int:
     return sfft.next_fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
@@ -101,36 +117,35 @@ def _dense_points(grid: TorusGrid) -> int:
 def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
                  points: int | None = None) -> np.ndarray:
     """|Delta_l f|_{L^p} of a (B, nc, M..) stack of real fields: (B, L, nc).
-
-    Skips and chunks as the module docstring says.
-    """
+    Samples, skips and chunks as the module docstring says."""
     mult = DyadicPartition().multipliers(grid)                  # (L, M..)
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
     live = (flat != 0).reshape(B * nc, -1) @ (mult != 0).reshape(len(mult), -1).T
     # inf * 0 is NaN: no block of an entry with a non-finite coefficient is zero
     live[~np.isfinite(flat).reshape(B * nc, -1).all(axis=1)] = True
-    entry, level = np.nonzero(live)                     # entry-major pairs
     out = np.zeros((B * nc, len(mult)))
-    pts = points or _dense_points(grid)
-    cap = BATCH_BYTES // (8 * pts ** grid.dim)          # blocks per synthesis
-    lo = hi = 0
-    for end in [*np.cumsum(live.sum(axis=1)), math.inf]:
-        if end - lo > cap and hi > lo:                  # the next entry overflows
-            e, l = entry[lo:hi], level[lo:hi]
-            vals = synthesize_coeffs(flat[e] * mult[l], grid, pts).reshape(len(e), -1)
+    K = grid.half_band
+    for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
+        if points:
+            sub, pts = grid, points
+        cube = (slice(K - sub.half_band, K + sub.half_band + 1),) * grid.dim
+        entries = np.flatnonzero(live[:, l])
+        cap = max(1, BATCH_BYTES // (8 * pts ** grid.dim))     # blocks per synthesis
+        for start in range(0, len(entries), cap):
+            e = entries[start:start + cap]
+            vals = synthesize_coeffs(flat[(e, *cube)] * mult[(l, *cube)], sub,
+                                     pts).reshape(len(e), -1)
             np.abs(vals, out=vals)
             out[e, l] = vals.max(axis=-1) if math.isinf(p) else \
                 np.mean(vals ** p, axis=-1) ** (1.0 / p)
-            lo = hi
-        hi = end
     return out.reshape(B, nc, -1).transpose(0, 2, 1)
 
 
 def block_lp_norms(field: SpectralField, p: float,
                    points: int | None = None) -> np.ndarray:
     """|Delta_l f|_{L^p} for all levels, per component: shape (L+2, nc), in the
-    normalised measure, on the dense grid or on ``points`` per axis."""
+    normalised measure, on each level's grid or on ``points`` per axis."""
     field.require_real()
     return _block_norms(field.coeffs[None], field.grid, p, points)[0]
 

@@ -118,6 +118,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.seed < 0:       # as the config's seed is checked
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     worst = 0
     for dim in (1, 2, 3):
         for r in run_identity_suite(seed=args.seed, dim=dim):

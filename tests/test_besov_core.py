@@ -1,10 +1,12 @@
-"""The batched Besov core against the two pipelines it replaced.
+"""The batched Besov core against a plain reference.
 
-The references below are the pre-merge bodies of ``block_lp_norms`` and
-``holder_norms_batch``: multiply the coefficients by every chi_l, synthesise
-every (entry, level) block on the dense grid, take the sup or the mean.
-The core skips blocks whose coefficients miss the support of chi_l and
-synthesises in chunks, so its results must equal these bit for bit.
+The references below multiply the coefficients by every chi_l and synthesise
+every block of a level in one go, each level on its own grid: the sub-cube
+|k_i| <= K_l that holds the support of chi_l, sampled on
+``_dense_points(TorusGrid(d, 2 K_l + 1))`` points per axis (the whole cube on
+its dense grid where K_l = K, or where chi_l is zero on the whole cube).  The
+core skips blocks whose coefficients miss the support of chi_l and
+synthesises in chunks of blocks, so its results must equal these bit for bit.
 """
 
 import math
@@ -19,36 +21,46 @@ from nlheat.besov import (DyadicPartition, _block_norms, _dense_points,
 from nlheat.field import SpectralField, TorusGrid, synthesize_coeffs
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
-REF_BATCH_BYTES = 256 * 2 ** 20
+
+def ref_levels(grid, points=None):
+    """Per level: (sub-cube index, its grid, points per axis); with ``points``
+    every level is the whole cube on ``points``."""
+    K = grid.half_band
+    out = []
+    for row in DyadicPartition().multipliers(grid):
+        support = np.argwhere(row != 0) - K
+        k = int(np.abs(support).max()) if len(support) and not points else K
+        sub = grid if k == K else TorusGrid(grid.dim, 2 * k + 1)
+        out.append(((Ellipsis,) + (slice(K - k, K + k + 1),) * grid.dim, sub,
+                    points or _dense_points(sub)))
+    return out
 
 
-def ref_block_lp_norms(field, p, partition=None, points=None):
-    partition = partition or DyadicPartition()
+def ref_block_values(coeffs, grid, points=None):
+    """|Delta_l f| at level l's sample points for a (n, M..) stack, one
+    synthesis per level: a list over l of (n, P_l^d) arrays."""
+    mult = DyadicPartition().multipliers(grid)
+    out = []
+    for row, (cube, sub, pts) in zip(mult, ref_levels(grid, points)):
+        vals = synthesize_coeffs(coeffs[cube] * row[cube], sub, pts)
+        out.append(np.abs(vals.reshape(len(coeffs), -1)))
+    return out
+
+
+def ref_block_lp_norms(field, p, points=None):
     field.require_real()
-    grid = field.grid
-    mult = partition.multipliers(grid)              # (L, M..)
-    blocks = field.coeffs[None] * mult[:, None]     # (L, nc, M..)
-    pts = points or _dense_points(grid)
-    vals = synthesize_coeffs(blocks, grid, pts).reshape(len(mult), field.components, -1)
-    flat = np.abs(vals, out=vals)
+    vals = ref_block_values(field.coeffs, field.grid, points)
     if math.isinf(p):
-        return flat.max(axis=-1)
-    return (np.mean(flat ** p, axis=-1)) ** (1.0 / p)
+        return np.stack([v.max(axis=-1) for v in vals])
+    return np.stack([np.mean(v ** p, axis=-1) ** (1.0 / p) for v in vals])
 
 
-def ref_holder_norms_batch(coeff_stack, grid, alpha, partition=None, points=None):
-    partition = partition or DyadicPartition()
+def ref_holder_norms_batch(coeff_stack, grid, alpha, points=None):
     SpectralField(grid, coeff_stack).require_real()
-    mult = partition.multipliers(grid)                    # (L, M..)
-    pts = points or _dense_points(grid)
-    rows = max(1, REF_BATCH_BYTES // (8 * len(mult) * pts ** grid.dim))
-    sup = []
-    for start in range(0, len(coeff_stack), rows):
-        blocks = coeff_stack[start:start + rows, None] * mult    # (b, L, M..)
-        vals = synthesize_coeffs(blocks, grid, pts).reshape(len(blocks), len(mult), -1)
-        sup.append(np.abs(vals, out=vals).max(axis=-1))
-    levels = np.arange(-1, mult.shape[0] - 1)
-    return (2.0 ** (alpha * levels)[None, :] * np.concatenate(sup)).max(axis=1)
+    sup = np.stack([v.max(axis=-1) for v in
+                    ref_block_values(coeff_stack, grid, points)], axis=1)
+    levels = np.arange(-1, sup.shape[1] - 1)
+    return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)
 
 
 def ref_besov_norm(monkeypatch, field, alpha, p, q):
@@ -196,7 +208,11 @@ def test_non_finite_entry_leaves_other_entries_skipped(monkeypatch):
     # the NaN entry synthesises every level, the others only their live ones
     live = [int(np.any(mult * f.coeffs != 0, axis=1).sum()) for f in fields]
     assert len(blocks) == live[0] + len(mult) + live[2] < 3 * len(mult)
-    assert np.isnan(got[1]).all()
+    # levels whose sub-cube holds the NaN are NaN, and so is the entry's norm
+    nan_row = np.stack([v.max(axis=-1) for v in ref_block_values(stack[1], grid)])
+    np.testing.assert_array_equal(got[1], nan_row)
+    assert np.isnan(got[1]).any() and np.isnan(besov._weighted_sum(
+        got, -0.5, math.inf)[1])
     for row in (0, 2):
         assert np.array_equal(got[row], ref_block_lp_norms(fields[row], math.inf))
 
@@ -252,16 +268,88 @@ def test_batch_bytes_do_not_change_results(monkeypatch, dim, modes, components):
             assert np.array_equal(a, b)
 
 
-def test_chunks_hold_whole_entries_within_batch_bytes(monkeypatch):
-    grid = TorusGrid(1, 65)
-    stack = heat_stack(grid, 13, seed=12)
-    block = 8 * _dense_points(grid)
-    sizes = []
-    monkeypatch.setattr(besov, "synthesize_coeffs",
-                        lambda *a: sizes.append(len(a[0])) or synthesize_coeffs(*a))
-    monkeypatch.setattr(besov, "BATCH_BYTES", 20 * block)
-    holder_norms_batch(stack, grid, -0.5)
-    # every row meets every chi_l that is not zero on the whole cube
-    live = int(np.any(DyadicPartition().multipliers(grid) != 0, axis=1).sum())
-    assert sizes and all(s % live == 0 and s <= 20 for s in sizes)
-    assert sum(sizes) == live * len(stack)
+@pytest.mark.parametrize("dim, modes, components, budget", [
+    (1, 65, 1, 20 * 8 * 264),       # 20 top blocks of 264 points
+    (2, 17, 2, 32 * 2 ** 10),       # a top block, 70^2 points, is 38 KiB alone
+    (3, 9, 9, None)])   # d = 3, N = 4: a top block is 365 KiB, an entry's 1.8 MiB
+def test_syntheses_stay_within_batch_bytes(monkeypatch, dim, modes, components,
+                                           budget):
+    grid = TorusGrid(dim, modes)
+    stack = field_stack(grid, 6, components, seed=12)
+    want = _block_norms(stack, grid, math.inf)
+    calls = []
+    monkeypatch.setattr(besov, "synthesize_coeffs", lambda c, g, pts: calls.append(
+        (len(c), 8 * pts ** dim)) or synthesize_coeffs(c, g, pts))
+    if budget:
+        monkeypatch.setattr(besov, "BATCH_BYTES", budget)
+    assert np.array_equal(_block_norms(stack, grid, math.inf), want)
+    assert all(n * size <= besov.BATCH_BYTES or n == 1 for n, size in calls)
+    assert any(n > 1 for n, _ in calls)
+    # every block whose chi_l meets its entry's coefficients, once
+    mult = DyadicPartition().multipliers(grid)
+    entries = stack.reshape((-1, 1) + grid.mode_shape)
+    live = np.any((entries * mult != 0).reshape(len(entries), len(mult), -1), axis=-1)
+    assert sum(n for n, _ in calls) == live.sum() > len(entries)
+
+
+# -- per-level grids and the certified sup ---------------------------------------
+
+LEVEL_GRIDS = [(1, 257), (1, 195), (1, 4097), (2, 17), (2, 35), (3, 9), (3, 15)]
+
+
+@pytest.mark.parametrize("dim, modes", LEVEL_GRIDS)
+def test_level_grids_hold_each_support_with_margin(dim, modes):
+    grid = TorusGrid(dim, modes)
+    levels = DyadicPartition().level_grids(grid)
+    assert DyadicPartition().level_grids(grid) is levels        # cached
+    for (sub, pts), (cube, ref_sub, ref_pts) in zip(levels, ref_levels(grid)):
+        assert (sub, pts) == (ref_sub, ref_pts)
+        assert 8 * sub.half_band < pts
+    assert levels[-1] == (grid, _dense_points(grid))
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 257), (2, 35), (3, 9)])
+def test_top_levels_are_bit_identical_to_whole_grid_sampling(dim, modes):
+    grid = TorusGrid(dim, modes)
+    f = random_field(grid, components=2, seed=16)
+    top = [sub == grid for sub, _ in DyadicPartition().level_grids(grid)]
+    assert 1 <= sum(top) < len(top)
+    for p in (math.inf, 2.0):
+        got = block_lp_norms(f, p)
+        whole = ref_block_lp_norms(f, p, points=_dense_points(grid))
+        assert np.array_equal(got[top], whole[top])
+        assert not np.array_equal(got, whole)
+
+
+def sec_factor(k, points, dim):
+    """The sampling constant: sup|T| <= sec(pi k / P)^d max_j |T(x_j)| for a
+    trigonometric polynomial T of degree k per axis sampled on P^d points."""
+    return 1.0 / math.cos(math.pi * k / points) ** dim
+
+
+# the top multiplier row of (1, 195), (2, 35) and (3, 15) is zero on the cube
+@pytest.mark.parametrize("dim, modes", [(1, 195), (1, 4097), (2, 35), (3, 15)])
+def test_sampled_sup_certifies_the_brute_force_sup(dim, modes):
+    grid = TorusGrid(dim, modes)
+    fine = 6 * modes
+    f = random_field(grid, components=2, seed=17)
+    sampled = block_lp_norms(f, math.inf)
+    brute = block_lp_norms(f, math.inf, points=fine)
+    assert np.array_equal(brute, ref_block_lp_norms(f, math.inf, points=fine))
+    for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
+        k = sub.half_band
+        # s_l <= sup <= brute sec(pi k/fine)^d and brute <= sup <= s_l sec(pi k/P)^d
+        assert np.all(sampled[l] <= sec_factor(k, fine, dim) * brute[l])
+        assert np.all(brute[l] <= sec_factor(k, pts, dim) * sampled[l])
+        assert sec_factor(k, pts, dim) < sec_factor(1, 8, dim)
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 195), (1, 4097), (2, 35), (3, 15)])
+def test_two_norm_of_each_block_is_its_parseval_sum(dim, modes):
+    grid = TorusGrid(dim, modes)
+    f = random_field(grid, components=2, seed=18)
+    mult = DyadicPartition().multipliers(grid)
+    parseval = np.sqrt(np.sum(np.abs(f.coeffs[None] * mult[:, None]) ** 2,
+                              axis=tuple(range(2, 2 + dim))))
+    got = block_lp_norms(f, 2.0)
+    assert np.all(np.abs(got - parseval) <= 1e-12 * max(1.0, parseval.max()))

@@ -659,6 +659,12 @@ class TestCli:
                   if l.endswith("[FAIL]")]
         assert len(failed) == 1 and failed[0].startswith("d=3 ")
 
+    def test_identities_negative_seed_names_the_key(self, capsys):
+        assert main(["identities", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", [["--config", "/nonexistent.yaml"],
                                       ["--threads", "4"], ["--out", "zz"]])
     def test_identities_rejects_the_flags_it_ignores(self, tmp_path, monkeypatch,

@@ -203,7 +203,8 @@ def test_holder_batch_chunks_match_one_shot(monkeypatch, dim, modes):
     calls = []
     monkeypatch.setattr(besov, "synthesize_coeffs",
                         lambda *a: calls.append(1) or synthesize_coeffs(*a))
-    monkeypatch.setattr(besov, "BATCH_BYTES", 1)    # one batch row per chunk
+    monkeypatch.setattr(besov, "BATCH_BYTES", 1)    # one block per chunk
     chunked = holder_norms_batch(stack, grid, -0.5)
-    assert len(calls) == len(stack)
+    mult = DyadicPartition().multipliers(grid)       # every mode is non-zero
+    assert len(calls) == len(stack) * np.any(mult.reshape(len(mult), -1), axis=1).sum()
     assert np.max(np.abs(chunked - one_shot)) <= RTOL * np.max(one_shot)
