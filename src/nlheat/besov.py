@@ -29,9 +29,8 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
-from .field import SpectralField, TorusGrid, real_fields, synthesize_coeffs
+from .field import SpectralField, TorusGrid, fast_len, real_fields, synthesize_coeffs
 
 #: largest real array one synthesis makes, unless a single block is larger
 BATCH_BYTES = 512 * 2 ** 10
@@ -111,7 +110,7 @@ class DyadicPartition:
 
 
 def _dense_points(grid: TorusGrid) -> int:
-    return sfft.next_fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
+    return fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
 def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,

@@ -8,7 +8,7 @@ for a real scalar field X: it equals the spatial mean of
 (P_t RX) d_1 (P_t X), with R the phase rotation.  Its expectation and the
 time integral of the induced drift are exact finite sums over the mode
 lattice, compressed here by bucketing modes on the integer values of n^2
-(at d >= 2 with lattice-point counts from one ``scipy.fft`` spectrum power).
+(at d >= 2 with lattice-point counts from one ``numpy.fft`` spectrum power).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from .besov import holder_norms_batch
-from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
+from .field import (REAL_PRIMES, SpectralField, TorusGrid, analyze_values, fast_len,
+                    synthesize_coeffs)
 from .sampling import VarianceProfile, sample_real_gfs, stream
 
 #: largest max/min spread across radii of a passing envelope (integral) ratio
@@ -80,8 +80,8 @@ def _perp_square_counts(dim_perp: int, max_r2: int) -> np.ndarray:
     one = np.zeros(max_r2 + 1)
     one[0] = 1.0
     one[np.arange(1, math.isqrt(max_r2) + 1) ** 2] = 2.0
-    n = sfft.next_fast_len(dim_perp * max_r2 + 1, real=True)
-    return np.rint(sfft.irfft(sfft.rfft(one, n) ** dim_perp, n)[: max_r2 + 1])
+    n = fast_len(dim_perp * max_r2 + 1, REAL_PRIMES)
+    return np.rint(np.fft.irfft(np.fft.rfft(one, n) ** dim_perp, n)[: max_r2 + 1])
 
 
 @lru_cache(maxsize=64)

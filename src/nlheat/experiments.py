@@ -9,7 +9,6 @@ CSV.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 import csv
 import json
@@ -294,6 +293,7 @@ def _map_trials(worker, tasks, threads: int) -> list:
     processes and never more than there are tasks."""
     if threads <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 

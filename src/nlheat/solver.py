@@ -124,13 +124,12 @@ def _rhs(coeffs: np.ndarray, grid: TorusGrid, plan: dict, chunks: list,
          work: np.ndarray, factors: np.ndarray,
          out: np.ndarray) -> tuple[np.ndarray, float]:
     """``nonlinear_rhs_coeffs`` once the spec is checked and laid out."""
-    u = synthesize_coeffs(coeffs, grid)                 # (nE, G..)
+    blocks = factors.reshape((-1, len(coeffs)) + (grid.points_per_axis,) * grid.dim)
+    u = synthesize_coeffs(coeffs, grid, out=blocks[0])  # (nE, G..)
     sup_u = float(max(u.max(), -u.min())) if u.size else 0.0
-    blocks = factors.reshape((-1,) + u.shape)
-    blocks[0] = u
     # per axis: one stack of 3 nE fields is twice as slow
     for block, ik in zip(blocks[1:], grid.derivative_multipliers):
-        block[...] = synthesize_coeffs(ik * coeffs, grid)
+        synthesize_coeffs(ik * coeffs, grid, out=block)
     out.fill(0.0)
     for part in chunks:
         _contract(plan, out[:, part], factors[:, part], work)

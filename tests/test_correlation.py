@@ -231,10 +231,13 @@ class TestStatistics:
             geometric_grid(1e-3, 1.0)
 
 
-def test_import_leaves_scipy_signal_out():
-    # the lattice counts need scipy.fft only; scipy.signal alone costs ~1 s
+@pytest.mark.parametrize("module", ["nlheat", "nlheat.cli"])
+def test_import_loads_no_scipy_and_no_process_pool(module):
+    # every transform is numpy.fft's; scipy.fft alone costs ~0.26 s and
+    # ~19 MiB, and the process pool is imported only when threads > 1
     env = {**os.environ, "PYTHONPATH": str(Path(nlheat.__file__).parents[1])}
-    code = "import sys, nlheat; print('scipy.signal' in sys.modules)"
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

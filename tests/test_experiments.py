@@ -1,5 +1,6 @@
 """Experiment orchestration: config validation, determinism, CLI, GFSF."""
 
+import concurrent.futures
 import json
 import math
 import warnings
@@ -90,7 +91,8 @@ def fake_pool(monkeypatch):
         def map(self, worker, tasks):
             return map(worker, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    # _map_trials imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return made
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from nlheat.field import (SpectralField, TorusGrid, analyze, analyze_values,
-                          dealias_points, pointwise_product, synthesize_real)
+from nlheat.field import (REAL_PRIMES, SpectralField, TorusGrid, analyze,
+                          analyze_values, dealias_points, fast_len,
+                          pointwise_product, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from nlheat.solver import SolveConfig, solve
@@ -76,6 +77,11 @@ class TestGrid:
             assert TorusGrid(dim, M).points_per_axis == dealias_points(M, dim=dim)
         assert TorusGrid(dim, 33).points_per_axis == 50
         assert dealias_points(33, cubic=True, dim=dim) == 66     # 72 at d = 1
+
+    def test_fast_len_is_scipy_next_fast_len(self):
+        for n in range(1, 20001):
+            assert fast_len(n) == sfft.next_fast_len(n), n
+            assert fast_len(n, REAL_PRIMES) == sfft.next_fast_len(n, real=True), n
 
     def test_grid_size_is_a_free_choice(self):
         """The products are dealiased, so any G with headroom gives the same

@@ -31,7 +31,15 @@ def ref_synthesize(coeffs, grid, points=None):
     return sfft.ifftn(full, axes=tuple(range(-grid.dim, 0))) * G ** grid.dim
 
 
-def irfftn_synthesize(coeffs, grid, points=None):
+def _into(values, out):
+    """``values``, copied into ``out`` when given (synthesis's ``out=``)."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+def irfftn_synthesize(coeffs, grid, points=None, out=None):
     """Synthesis before band pruning: the k_d >= 0 half cube scattered into
     a zero (G,)*(d-1) + (K+1,) array, then one ``irfftn`` (d >= 2)."""
     G = points or grid.points_per_axis
@@ -39,8 +47,8 @@ def irfftn_synthesize(coeffs, grid, points=None):
     half = np.zeros(coeffs.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
     band = np.ix_(*[grid.wavenumbers % G] * (d - 1))
     half[(Ellipsis, *band, slice(None))] = coeffs[..., K:]
-    return sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
-                       norm="forward")
+    return _into(sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
+                             norm="forward"), out)
 
 
 def ref_analyze(values, grid):
@@ -74,6 +82,21 @@ def test_synthesis_matches_complex_path(dim, modes, points):
     assert rel_err(got, ref_synthesize(coeffs, grid)) <= RTOL
 
 
+@pytest.mark.parametrize("modes, points", [(7, 11), (7, 12), (9, 9), (129, 200),
+                                           (2049, 3125), (257, 1029)])
+def test_d1_transforms_are_bit_identical_to_scipy_rfft(modes, points):
+    grid = TorusGrid(1, modes, points)
+    K = grid.half_band
+    coeffs = random_coeffs(np.random.default_rng(points), (2, 3), grid)
+    assert np.array_equal(synthesize_coeffs(coeffs, grid),
+                          sfft.irfft(coeffs[..., K:], n=points, norm="forward"))
+    values = np.random.default_rng(modes).standard_normal((2, 3, points))
+    half = sfft.rfft(values, norm="forward")
+    got = analyze_values(values, grid)
+    assert np.array_equal(got[..., K:], half[..., :K + 1])
+    assert np.array_equal(got[..., :K], np.conj(half[..., K:0:-1]))
+
+
 @pytest.mark.parametrize("dim, modes", [(2, 7), (2, 9), (3, 5), (3, 7)])
 @pytest.mark.parametrize("points", ["M", "odd", "even", "dense"])
 def test_pruned_synthesis_is_bit_identical_to_irfftn(dim, modes, points):
@@ -84,6 +107,21 @@ def test_pruned_synthesis_is_bit_identical_to_irfftn(dim, modes, points):
     got = synthesize_coeffs(coeffs, grid, G)
     assert got.shape == (2, 3) + (G,) * dim
     assert np.array_equal(got, irfftn_synthesize(coeffs, grid, G))
+
+
+@pytest.mark.parametrize("dim, modes", [(2, 7), (2, 9), (3, 5), (3, 7)])
+@pytest.mark.parametrize("points", ["M", "odd", "even", "dense"])
+def test_pruned_analysis_is_bit_identical_to_rfftn(dim, modes, points):
+    grid = TorusGrid(dim, modes, 2 * modes)
+    G = {"M": modes, "odd": modes + 2, "even": modes + 3,
+         "dense": besov._dense_points(grid)}[points]
+    values = np.random.default_rng(G).standard_normal((2, 3) + (G,) * dim)
+    K = grid.half_band
+    full = sfft.rfftn(values, axes=tuple(range(-dim, 0)), norm="forward")
+    want = full[(Ellipsis, *np.ix_(*[grid.wavenumbers % G] * (dim - 1)), slice(K + 1))]
+    rev = (slice(None, None, -1),) * (dim - 1)
+    want[..., 0] = 0.5 * (want[..., 0] + np.conj(want[(Ellipsis, *rev, 0)]))
+    assert np.array_equal(analyze_values(values, TorusGrid(dim, modes, G))[..., K:], want)
 
 
 def test_dym_solve_is_bit_identical_to_irfftn_and_one_chunk(monkeypatch):
@@ -131,7 +169,8 @@ def test_multipliers_are_cached_and_read_only():
 
 def _patch_reference(monkeypatch):
     monkeypatch.setattr(solver, "synthesize_coeffs",
-                        lambda c, g, points=None: ref_synthesize(c, g, points).real)
+                        lambda c, g, points=None, out=None:
+                        _into(ref_synthesize(c, g, points).real, out))
     monkeypatch.setattr(solver, "analyze_values", ref_analyze)
 
 
