@@ -1,22 +1,23 @@
-"""Littlewood-Paley decomposition and Besov norms for band-limited fields.
+"""Littlewood-Paley decomposition and Besov norms B^alpha_{inf,q} of stacks
+of band-limited real fields.
 
 The dyadic partition is fixed and built from a smooth step so that the
 telescoping identity sum_l chi_l = 1 holds exactly by construction: chi_{-1}
 equals 1 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) -
 chi_{-1}(x) is supported in the annulus B(8/3) \\ B(3/4).
 
+``besov_norms`` is the one norm function: per field of a (B, nc, M..) stack,
+checked against its own scale (``field.real_fields``), the l^q norm over l of
+2^(alpha l) sup|Delta_l f|, summed over the components. Hoelder C^alpha is
+B^alpha_{inf,inf}, its default q.
+
 Block Delta_l f has its coefficients in the smallest sub-cube |k_i| <= K_l
 that holds the support of chi_l (K_l = K where chi_l is zero on the cube), and
 is sampled there on P_l = ``_dense_points`` of that sub-cube per axis (the
 whole grid's P where K_l = K). Its sampled max s bounds sup|Delta_l f| within
-[s, sec(pi K_l / P_l)^d s] (Ehlich-Zeller), with K_l / P_l < 1/8.
-``block_lp_norms(points=...)`` samples every level on the whole cube instead.
-
-Every Hoelder norm goes through ``holder_norms_batch``, which checks each
-field against its own scale (``field.real_fields``) and shares one weighting
-with ``besov_norm``. All block norms come from one core, ``_block_norms``. A
-block whose coefficients miss the support of chi_l (read off the zero patterns
-of the coefficients and the cached multipliers) is 0.0 and is not synthesised,
+[s, sec(pi K_l / P_l)^d s] (Ehlich-Zeller), with K_l / P_l < 1/8. A block
+whose coefficients miss the support of chi_l (read off the zero patterns of
+the coefficients and the cached multipliers) is 0.0 and is not synthesised,
 unless its (row, component) entry holds a non-finite coefficient. Level by
 level, the live blocks are synthesised in chunks of at most ``BATCH_BYTES`` of
 real values, and at least one block.
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .field import SpectralField, TorusGrid, fast_len, real_fields, synthesize_coeffs
+from .field import TorusGrid, fast_len, real_fields, synthesize_coeffs
 
 #: largest real array one synthesis makes, unless a single block is larger
 BATCH_BYTES = 512 * 2 ** 10
@@ -113,10 +114,9 @@ def _dense_points(grid: TorusGrid) -> int:
     return fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
-def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
-                 points: int | None = None) -> np.ndarray:
-    """|Delta_l f|_{L^p} of a (B, nc, M..) stack of real fields: (B, L, nc).
-    Samples, skips and chunks as the module docstring says."""
+def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Sampled sup|Delta_l f| of a (B, nc, M..) stack of real fields:
+    (B, L, nc). Samples, skips and chunks as the module docstring says."""
     mult = DyadicPartition().multipliers(grid)                  # (L, M..)
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
@@ -126,8 +126,6 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
     out = np.zeros((B * nc, len(mult)))
     K = grid.half_band
     for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
-        if points:
-            sub, pts = grid, points
         cube = (slice(K - sub.half_band, K + sub.half_band + 1),) * grid.dim
         entries = np.flatnonzero(live[:, l])
         cap = max(1, BATCH_BYTES // (8 * pts ** grid.dim))     # blocks per synthesis
@@ -135,47 +133,21 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, p: float,
             e = entries[start:start + cap]
             vals = synthesize_coeffs(flat[(e, *cube)] * mult[(l, *cube)], sub,
                                      pts).reshape(len(e), -1)
-            np.abs(vals, out=vals)
-            out[e, l] = vals.max(axis=-1) if math.isinf(p) else \
-                np.mean(vals ** p, axis=-1) ** (1.0 / p)
+            out[e, l] = np.abs(vals, out=vals).max(axis=-1)
     return out.reshape(B, nc, -1).transpose(0, 2, 1)
 
 
-def block_lp_norms(field: SpectralField, p: float,
-                   points: int | None = None) -> np.ndarray:
-    """|Delta_l f|_{L^p} for all levels, per component: shape (L+2, nc), in the
-    normalised measure, on each level's grid or on ``points`` per axis."""
-    field.require_real()
-    return _block_norms(field.coeffs[None], field.grid, p, points)[0]
-
-
-def _weighted_sum(norms: np.ndarray, alpha: float, q: float) -> np.ndarray:
-    """(B, L, nc) block norms to (B,) norms: per component the l^q norm over
-    l of 2^(alpha l) |Delta_l f|, then the sum over the components."""
-    weighted = 2.0 ** (alpha * np.arange(-1, norms.shape[1] - 1))[:, None] * norms
-    per_comp = weighted.max(axis=1) if math.isinf(q) else \
-        (weighted ** q).sum(axis=1) ** (1.0 / q)
-    return per_comp.sum(axis=1)
-
-
-def besov_norm(field: SpectralField, alpha: float, p: float, q: float) -> float:
-    """Besov norm B^alpha_{p,q}, summed over the components (a finite dyadic
-    sum, as the field is band-limited)."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
-    return float(_weighted_sum(block_lp_norms(field, p)[None], alpha, q)[0])
-
-
-def holder_norm(field: SpectralField, alpha: float) -> float:
-    """Hoelder-Besov norm C^alpha = B^alpha_{inf,inf}, the component sum."""
-    return float(holder_norms_batch(field.coeffs[None], field.grid, alpha)[0])
-
-
-def holder_norms_batch(coeff_stack: np.ndarray, grid: TorusGrid,
-                       alpha: float) -> np.ndarray:
-    """C^alpha norms of a (B, nc, M..) stack of real fields, each summed over
-    its components: shape (B,).  A (B, M..) stack holds scalar fields."""
+def besov_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
+                q: float = math.inf) -> np.ndarray:
+    """B^alpha_{inf,q} norms of a (B, nc, M..) stack of real fields, each summed
+    over its components: shape (B,). A (B, M..) stack holds scalar fields."""
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1, got {q!r}")
     coeff_stack = coeff_stack.reshape((len(coeff_stack), -1) + grid.mode_shape)
     if not real_fields(coeff_stack, grid.dim).all():
         raise ValueError("a field of the stack is not real")
-    return _weighted_sum(_block_norms(coeff_stack, grid, math.inf), alpha, math.inf)
+    sups = _block_norms(coeff_stack, grid)
+    weighted = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))[:, None] * sups
+    per_comp = weighted.max(axis=1) if math.isinf(q) else \
+        (weighted ** q).sum(axis=1) ** (1.0 / q)
+    return per_comp.sum(axis=1)

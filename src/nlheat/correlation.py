@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .besov import holder_norms_batch
+from .besov import besov_norms
 from .field import (REAL_PRIMES, SpectralField, TorusGrid, analyze_values, fast_len,
                     synthesize_coeffs)
 from .sampling import VarianceProfile, sample_real_gfs, stream
@@ -300,7 +300,7 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     coeffs = analyze_values(prod, grid)                          # (T, M..)
     if remove_mean:
         coeffs[grid.zero_mode_index] = 0.0
-    norms = holder_norms_batch(coeffs, grid, beta)
+    norms = besov_norms(coeffs, grid, beta)
     return float(np.max(t_grid ** delta * norms))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import DyadicPartition, besov_norm, holder_norm
+from .besov import DyadicPartition, besov_norms
 from .correlation import (ParameterSet, drift_scalar, geometric_grid,
                           moment_experiment_decorrelated, moment_experiment_Z,
                           verify_EZt_bounds, verify_It_bounds)
@@ -108,14 +108,24 @@ class ExperimentConfig:
         seed = _typed("seed", doc.get("seed"), int)
         threads = _typed("threads", doc.get("threads", 1), int)
         exp, radii = sec["experiment"], sec["experiment"]["radii"] or [0]
+        solver = sec["solver"]
         for where, value, ok, need in (
                 ("seed", seed, seed >= 0, ">= 0"),
                 ("threads", threads, threads >= 1, ">= 1"),
                 ("experiment.radii", exp["radii"], min(radii) >= 2,
                  "a non-empty list of radii >= 2"),
                 ("experiment.trials", exp["trials"], exp["trials"] >= 1, ">= 1"),
-                ("solver.step_factor", sec["solver"]["step_factor"],
-                 sec["solver"]["step_factor"] > 0, "> 0"),
+                ("experiment.q", exp["q"], exp["q"] >= 1, ">= 1"),
+                ("solver.step_factor", solver["step_factor"],
+                 solver["step_factor"] > 0, "> 0"),
+                ("solver.tol", solver["tol"],
+                 solver["tol"] is None or solver["tol"] > 0, "> 0 or null"),
+                ("solver.blowup_threshold", solver["blowup_threshold"],
+                 solver["blowup_threshold"] > 0, "> 0"),
+                ("solver.snapshots", solver["snapshots"], solver["snapshots"] >= 0,
+                 ">= 0"),
+                ("experiment.t_min", exp["t_min"], 0 < exp["t_min"] < exp["t_max"],
+                 f"> 0 and < experiment.t_max = {exp['t_max']!r}"),
                 ("experiment.reference_radius", exp["reference_radius"],
                  doc["kind"] != "besov" or max(radii) < exp["reference_radius"],
                  "above every besov radius")):
@@ -239,15 +249,17 @@ def _inflation_trial(args):
         return epsilon ** 2 * drift_scalar(prof, cfg.dim, t, radius=radius) * direction
 
     out = {"trial": trial, "radius": radius, "seed": cfg.seed}
-    for arm, Y in (("adversarial", Y_adv), ("control", Y_ctl)):
-        pert = SpectralField(grid, epsilon * (X.coeffs + Y.coeffs))
+    perts = epsilon * (X.coeffs + np.stack([Y_adv.coeffs, Y_ctl.coeffs]))
+    distances = besov_norms(perts, grid, params.eta)
+    for arm, coeffs, distance in zip(("adversarial", "control"), perts, distances):
+        pert = SpectralField(grid, coeffs)
         u0 = pert if base is None else SpectralField.constant(grid, base) + pert
         traj = solve(u0, nl, solve_cfg)
         rec = {
             "status": traj.status,
             "zero_mode_sup": traj.zero_mode_sup(),
             "zero_mode_shift": traj.zero_mode_shift(),
-            "u0_holder_eta": holder_norm(pert, params.eta),
+            "u0_holder_eta": float(distance),
             "steps": traj.steps,
             "rejected": traj.rejected,
             "h_min": traj.h_min,
@@ -263,19 +275,17 @@ def _inflation_trial(args):
 
 
 def _besov_trial(args):
-    """One trial of the truncation-convergence experiment."""
+    """One trial of the truncation-convergence experiment: the B^alpha_{inf,q}
+    norms of the tails X - X^N of one X, one stack over the radii N."""
     cfg, trial = args
-    exp = cfg.experiment
+    exp, radii = cfg.experiment, cfg.radii()
     ref = exp["reference_radius"]
     grid = TorusGrid(cfg.dim, 2 * ref + 1, 2 * ref + 2)
-    prof = cfg.profile_for(ref)
-    X = sample_real_gfs(prof, grid, stream(cfg.seed, trial, 0))
-    out = {"trial": trial, "norms": {}}
-    for N in cfg.radii():
-        mask = grid.k_squared > N * N + 1e-9
-        diff = SpectralField(grid, np.where(mask, X.coeffs, 0.0))
-        out["norms"][N] = besov_norm(diff, exp["alpha"], math.inf, exp["q"])
-    return out
+    X = sample_real_gfs(cfg.profile_for(ref), grid, stream(cfg.seed, trial, 0))
+    tails = np.stack([np.where(grid.k_squared > N * N + 1e-9, X.coeffs, 0.0)
+                      for N in radii])
+    norms = besov_norms(tails, grid, exp["alpha"], exp["q"])
+    return {"trial": trial, "norms": dict(zip(radii, map(float, norms)))}
 
 
 def _moment_trend(args):

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import besov
-from .besov import holder_norms_batch
+from .besov import besov_norms
 from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from .nonlinearity import NonlinearitySpec
 
@@ -174,6 +174,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 START_FRACTION = 0.125
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(u0: SpectralField, spec: NonlinearitySpec,
           config: SolveConfig) -> Trajectory:
     """Integrate the flow from u0 (real) over [0, t_end].
@@ -187,6 +188,8 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
     step that no longer moves t is a blow-up.  The zero mode is recorded at
     every accepted step, each snapshot at the accepted boundary nearest its
     requested time (the earlier on a tie), with t = 0 and t_end, once each.
+    Overflow and invalid-value warnings are silenced: a non-finite sup|u| or
+    step is recorded as a blow-up.
     """
     grid = u0.grid
     u0.require_real()
@@ -259,4 +262,4 @@ def remainder_norms(trajectory: Trajectory, u0: SpectralField, drift,
                       for t, f in zip(times, trajectory.fields)])
     stack[(slice(None), *grid.zero_mode_index)] -= np.array(
         [drift(t) for t in times], dtype=complex)
-    return holder_norms_batch(stack, grid, alpha)
+    return besov_norms(stack, grid, alpha)

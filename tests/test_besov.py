@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nlheat.besov import (DyadicPartition, besov_norm, block_lp_norms,
-                          holder_norm, holder_norms_batch)
+from nlheat.besov import DyadicPartition, _block_norms, besov_norms
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
+
+from test_besov_core import ref_block_sups
 
 
 def random_field(grid, seed=0):
@@ -98,10 +99,10 @@ class TestNorms:
     def test_constant_norm(self):
         grid = TorusGrid(1, 9)
         c = SpectralField.constant(grid, [-1.7])
-        for alpha, p, q in [(0.5, math.inf, math.inf), (-0.5, 2, 3), (1.0, 4, math.inf)]:
+        for alpha, q in [(0.5, math.inf), (-0.5, 3.0)]:
             # only the l = -1 block is active: norm = 2^{-alpha} |c|
             expect = 2.0 ** -alpha * 1.7
-            assert abs(besov_norm(c, alpha, p, q) - expect) < 1e-12
+            assert abs(besov_norms(c.coeffs[None], grid, alpha, q)[0] - expect) < 1e-12
 
     def test_single_mode_closed_form(self):
         grid = TorusGrid(1, 33)
@@ -116,43 +117,45 @@ class TestNorms:
         weights = [(2.0 ** (alpha * l) * 1.2 * part.chi_level(l, 5.0)) ** q
                    for l in range(-1, top + 1)]
         expect = sum(weights) ** (1.0 / q)
-        got = besov_norm(f, alpha, math.inf, q)
+        got = besov_norms(f.coeffs, grid, alpha, q)[0]
         assert abs(got - expect) < 1e-10 * expect
 
     def test_homogeneity_and_triangle(self):
         grid = TorusGrid(1, 17)
         f = random_field(grid, 1)
         g = random_field(grid, 2)
-        alpha = -0.5
-        nf = holder_norm(f, alpha)
-        assert abs(holder_norm(SpectralField(grid, 3.0 * f.coeffs), alpha) - 3.0 * nf) < 1e-10 * nf
-        both = SpectralField(grid, f.coeffs + g.coeffs)
-        assert holder_norm(both, alpha) <= nf + holder_norm(g, alpha) + 1e-12
+        nf, ng, scaled, both = besov_norms(np.stack([
+            f.coeffs, g.coeffs, 3.0 * f.coeffs, f.coeffs + g.coeffs]), grid, -0.5)
+        assert abs(scaled - 3.0 * nf) < 1e-10 * nf
+        assert both <= nf + ng + 1e-12
 
     def test_linf_dominated_by_lq(self):
         grid = TorusGrid(1, 33)
         f = random_field(grid, 4)
         for q in (1.0, 2.0, 4.0):
-            assert holder_norm(f, -0.3) <= besov_norm(f, -0.3, math.inf, q) + 1e-12
+            assert besov_norms(f.coeffs, grid, -0.3) <= \
+                besov_norms(f.coeffs, grid, -0.3, q) + 1e-12
 
     def test_vector_field_component_sum(self):
         grid = TorusGrid(1, 9)
         f = random_field(grid, 5)
-        doubled = SpectralField(grid, np.concatenate([f.coeffs, f.coeffs]))
-        assert abs(holder_norm(doubled, -0.5) - 2 * holder_norm(f, -0.5)) < 1e-12
+        doubled = np.concatenate([f.coeffs, f.coeffs])
+        assert abs(besov_norms(doubled[None], grid, -0.5)
+                   - 2 * besov_norms(f.coeffs, grid, -0.5)) < 1e-12
 
     def test_batch_matches_scalar_path(self):
         grid = TorusGrid(1, 17)
         fields = [random_field(grid, s) for s in range(4)]
         stack = np.stack([f.coeffs[0] for f in fields])
-        batch = holder_norms_batch(stack, grid, -0.5)
-        single = [holder_norm(f, -0.5) for f in fields]
+        batch = besov_norms(stack, grid, -0.5)
+        single = [besov_norms(f.coeffs, grid, -0.5)[0] for f in fields]
         assert np.max(np.abs(batch - np.asarray(single))) < 1e-12
 
     def test_invalid_exponents(self):
         f = random_field(TorusGrid(1, 9))
-        with pytest.raises(ValueError):
-            besov_norm(f, 0.0, 0.5, 2.0)
+        for q in (0.5, math.nan):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                besov_norms(f.coeffs, f.grid, 0.0, q)
 
 
 class TestSmoothing:
@@ -167,9 +170,9 @@ class TestSmoothing:
             for N in (32, 64, 128):
                 grid = TorusGrid(1, 2 * N + 1)
                 f = random_field(grid, seed=N)
-                base = holder_norm(f, alpha)
-                worst = max(holder_norm(f.heat(t), alpha + gamma) * t ** (gamma / 2)
-                            for t in ts)
+                base = besov_norms(f.coeffs, grid, alpha)[0]
+                heated = np.stack([f.heat(t).coeffs for t in ts])
+                worst = max(besov_norms(heated, grid, alpha + gamma) * ts ** (gamma / 2))
                 consts.append(worst / base)
             fitted[gamma] = consts
         for gamma, consts in fitted.items():
@@ -179,7 +182,7 @@ class TestSmoothing:
         # default dense grid vs a 4x finer one: sup discrepancy <= 2%
         grid = TorusGrid(1, 65)
         f = random_field(grid, 9)
-        coarse = block_lp_norms(f, math.inf)
-        fine = block_lp_norms(f, math.inf, points=16 * grid.modes_per_axis)
+        coarse = _block_norms(f.coeffs[None], grid)[0]
+        fine = ref_block_sups(f, points=16 * grid.modes_per_axis)
         nz = fine > 0
         assert np.max(np.abs(coarse[nz] / fine[nz] - 1.0)) < 0.02

@@ -7,6 +7,7 @@ every block of a level in one go, each level on its own grid: the sub-cube
 its dense grid where K_l = K, or where chi_l is zero on the whole cube).  The
 core skips blocks whose coefficients miss the support of chi_l and
 synthesises in chunks of blocks, so its results must equal these bit for bit.
+``ref_besov_norm`` weights and sums one field's reference sups on its own.
 """
 
 import math
@@ -15,9 +16,8 @@ import numpy as np
 import pytest
 
 from nlheat import besov
-from nlheat.besov import (DyadicPartition, _block_norms, _dense_points,
-                          besov_norm, block_lp_norms, holder_norm,
-                          holder_norms_batch)
+from nlheat.besov import DyadicPartition, _block_norms, _dense_points, besov_norms
+from nlheat.experiments import ExperimentConfig, _besov_trial
 from nlheat.field import SpectralField, TorusGrid, synthesize_coeffs
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -47,15 +47,15 @@ def ref_block_values(coeffs, grid, points=None):
     return out
 
 
-def ref_block_lp_norms(field, p, points=None):
+def ref_block_sups(field, points=None):
+    """sup|Delta_l f| per level and component of one field: (L, nc)."""
     field.require_real()
-    vals = ref_block_values(field.coeffs, field.grid, points)
-    if math.isinf(p):
-        return np.stack([v.max(axis=-1) for v in vals])
-    return np.stack([np.mean(v ** p, axis=-1) ** (1.0 / p) for v in vals])
+    return np.stack([v.max(axis=-1) for v in
+                     ref_block_values(field.coeffs, field.grid, points)])
 
 
-def ref_holder_norms_batch(coeff_stack, grid, alpha, points=None):
+def ref_holder_norms(coeff_stack, grid, alpha, points=None):
+    """C^alpha norms of a (B, M..) stack of scalar fields."""
     SpectralField(grid, coeff_stack).require_real()
     sup = np.stack([v.max(axis=-1) for v in
                     ref_block_values(coeff_stack, grid, points)], axis=1)
@@ -63,10 +63,14 @@ def ref_holder_norms_batch(coeff_stack, grid, alpha, points=None):
     return (2.0 ** (alpha * levels)[None, :] * sup).max(axis=1)
 
 
-def ref_besov_norm(monkeypatch, field, alpha, p, q):
-    with monkeypatch.context() as m:
-        m.setattr(besov, "block_lp_norms", ref_block_lp_norms)
-        return besov_norm(field, alpha, p, q)
+def ref_besov_norm(field, alpha, q=math.inf):
+    """B^alpha_{inf,q} norm of one field: per component the l^q norm over l
+    of its weighted sups, one contiguous row each, then the component sum."""
+    sups = ref_block_sups(field)
+    rows = (2.0 ** (alpha * np.arange(-1, len(sups) - 1)) * sups.T).copy()
+    if math.isinf(q):
+        return float(np.sum([row.max() for row in rows]))
+    return float(np.sum(np.array([np.sum(row ** q) for row in rows]) ** (1.0 / q)))
 
 
 def random_field(grid, components=1, seed=0):
@@ -104,45 +108,62 @@ def counting_synthesis(monkeypatch):
 
 # -- bit-for-bit equality with the replaced pipelines ---------------------------
 
+def block_sups(field):
+    """The core's sup|Delta_l f| of one field: (L, nc)."""
+    return _block_norms(field.coeffs[None], field.grid)[0]
+
+
+def assert_matches_reference(field, alpha, q):
+    assert np.array_equal(block_sups(field), ref_block_sups(field))
+    assert besov_norms(field.coeffs[None], field.grid, alpha, q)[0] \
+        == ref_besov_norm(field, alpha, q)
+
+
 def test_d1_batch_matches_reference():
     grid = TorusGrid(1, 257)
     stack = heat_stack(grid, 101)
-    assert np.array_equal(holder_norms_batch(stack, grid, -0.5),
-                          ref_holder_norms_batch(stack, grid, -0.5))
-    assert np.array_equal(holder_norms_batch(stack, grid, 0.25),
-                          ref_holder_norms_batch(stack, grid, 0.25))
+    assert np.array_equal(besov_norms(stack, grid, -0.5),
+                          ref_holder_norms(stack, grid, -0.5))
+    assert np.array_equal(besov_norms(stack, grid, 0.25),
+                          ref_holder_norms(stack, grid, 0.25))
 
 
 @pytest.mark.parametrize("radius", [16, 1024])
 @pytest.mark.parametrize("q", [math.inf, 4.0])
-def test_d1_band_difference_matches_reference(monkeypatch, radius, q):
+def test_d1_band_difference_matches_reference(radius, q):
     grid = TorusGrid(1, 4097, 4098)
-    diff = band_difference(grid, radius, seed=radius)
-    assert np.array_equal(block_lp_norms(diff, math.inf),
-                          ref_block_lp_norms(diff, math.inf))
-    got = besov_norm(diff, -0.5, math.inf, q)
-    assert got == ref_besov_norm(monkeypatch, diff, -0.5, math.inf, q)
+    assert_matches_reference(band_difference(grid, radius, seed=radius), -0.5, q)
 
 
-@pytest.mark.parametrize("p", [math.inf, 1.0, 3.0])
-def test_d2_matches_reference(p):
+@pytest.mark.parametrize("q", [math.inf, 1.0, 3.0])
+def test_d2_matches_reference(q):
     grid = TorusGrid(2, 17)
-    f = random_field(grid, components=2, seed=4)
-    assert np.array_equal(block_lp_norms(f, p), ref_block_lp_norms(f, p))
-    diff = band_difference(grid, 5, seed=5)
-    assert np.array_equal(block_lp_norms(diff, p), ref_block_lp_norms(diff, p))
+    assert_matches_reference(random_field(grid, components=2, seed=4), 0.25, q)
+    assert_matches_reference(band_difference(grid, 5, seed=5), -0.5, q)
     stack = heat_stack(grid, 9, seed=6)
-    assert np.array_equal(holder_norms_batch(stack, grid, -0.5),
-                          ref_holder_norms_batch(stack, grid, -0.5))
+    assert np.array_equal(besov_norms(stack, grid, -0.5),
+                          ref_holder_norms(stack, grid, -0.5))
 
 
-@pytest.mark.parametrize("p", [math.inf, 2.0])
-def test_d3_nine_components_matches_reference(p):
+@pytest.mark.parametrize("q", [math.inf, 2.0])
+def test_d3_nine_components_matches_reference(q):
     grid = TorusGrid(3, 9, 18)
-    f = random_field(grid, components=9, seed=7)
-    assert np.array_equal(block_lp_norms(f, p), ref_block_lp_norms(f, p))
-    diff = band_difference(grid, 2, seed=8)
-    assert np.array_equal(block_lp_norms(diff, p), ref_block_lp_norms(diff, p))
+    assert_matches_reference(random_field(grid, components=9, seed=7), -0.5, q)
+    assert_matches_reference(band_difference(grid, 2, seed=8), 0.25, q)
+
+
+@pytest.mark.parametrize("q", [math.inf, 4.0])
+def test_radius_tails_of_a_trial_match_the_per_field_reference(q):
+    # _besov_trial takes the tails X - X^N of all its radii in one stack
+    cfg = ExperimentConfig.from_dict({
+        "kind": "besov", "seed": 5, "profile": {"kind": "powerlog"},
+        "experiment": {"radii": [16, 64, 256, 1024], "trials": 1,
+                       "reference_radius": 2048, "q": q}})
+    grid = TorusGrid(1, 4097, 4098)
+    X = sample_real_gfs(cfg.profile_for(2048), grid, stream(5, 0, 0))
+    want = {N: ref_besov_norm(SpectralField(grid, np.where(
+        grid.k_squared > N * N + 1e-9, X.coeffs, 0.0)), -0.5, q) for N in cfg.radii()}
+    assert _besov_trial((cfg, 0))["norms"] == want
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -152,12 +173,12 @@ def test_infinite_coefficient_matches_reference():
     grid = TorusGrid(1, 33)
     f = band_difference(grid, 8, seed=9)
     f.coeffs[0, grid.half_band + 12] = np.inf
-    np.testing.assert_array_equal(block_lp_norms(f, math.inf),
-                                  ref_block_lp_norms(f, math.inf))
-    assert np.isnan(block_lp_norms(f, math.inf)).any()
+    np.testing.assert_array_equal(block_sups(f), ref_block_sups(f))
+    assert np.isnan(block_sups(f)).any()
+    assert np.isnan(besov_norms(f.coeffs, grid, -0.5)).all()
     f.coeffs[0, grid.half_band + 12] = np.nan
     with pytest.raises(ValueError, match="not real"):
-        block_lp_norms(f, math.inf)
+        besov_norms(f.coeffs, grid, -0.5)
 
 
 # -- the one Hoelder path over (B, nc, M..) stacks -------------------------------
@@ -177,12 +198,11 @@ def test_vector_batch_matches_reference_per_component(dim, modes, components):
         assert not DyadicPartition().multipliers(grid)[-1].any()
     stack = field_stack(grid, 5, components, seed=13)
     for alpha in (-0.5, 0.25):
-        per_comp = [ref_holder_norms_batch(stack[:, c], grid, alpha)
+        per_comp = [ref_holder_norms(stack[:, c], grid, alpha)
                     for c in range(components)]
         want = np.stack(per_comp, axis=-1).sum(axis=-1)
-        assert np.array_equal(holder_norms_batch(stack, grid, alpha), want)
-        assert [holder_norm(SpectralField(grid, f), alpha) for f in stack] \
-            == list(want)
+        assert np.array_equal(besov_norms(stack, grid, alpha), want)
+        assert [besov_norms(f[None], grid, alpha)[0] for f in stack] == list(want)
 
 
 def test_each_field_is_checked_against_its_own_scale():
@@ -191,9 +211,9 @@ def test_each_field_is_checked_against_its_own_scale():
     big = 1e6 * random_field(grid, seed=14).coeffs[0]
     small = random_field(grid, seed=15).coeffs[0]
     small[grid.half_band + 3] += 1e-8j
-    assert holder_norms_batch(np.stack([big, big]), grid, -0.5).all()
+    assert besov_norms(np.stack([big, big]), grid, -0.5).all()
     with pytest.raises(ValueError, match="not real"):
-        holder_norms_batch(np.stack([big, small]), grid, -0.5)
+        besov_norms(np.stack([big, small]), grid, -0.5)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -201,20 +221,20 @@ def test_non_finite_entry_leaves_other_entries_skipped(monkeypatch):
     grid = TorusGrid(1, 257)
     fields = [band_difference(grid, 32, seed=s) for s in range(3)]
     stack = np.stack([f.coeffs for f in fields])
-    stack[1, 0, grid.half_band + 40] = np.nan
+    stack[1, 0, grid.half_band + 40] = np.inf
     mult = DyadicPartition().multipliers(grid)
     blocks = counting_synthesis(monkeypatch)
-    got = _block_norms(stack, grid, math.inf)
-    # the NaN entry synthesises every level, the others only their live ones
+    got = besov_norms(stack, grid, -0.5)
+    # the inf entry synthesises every level, the others only their live ones
     live = [int(np.any(mult * f.coeffs != 0, axis=1).sum()) for f in fields]
     assert len(blocks) == live[0] + len(mult) + live[2] < 3 * len(mult)
-    # levels whose sub-cube holds the NaN are NaN, and so is the entry's norm
+    # levels whose sub-cube holds the inf are NaN (inf * 0), and so is its norm
     nan_row = np.stack([v.max(axis=-1) for v in ref_block_values(stack[1], grid)])
-    np.testing.assert_array_equal(got[1], nan_row)
-    assert np.isnan(got[1]).any() and np.isnan(besov._weighted_sum(
-        got, -0.5, math.inf)[1])
+    assert np.isnan(nan_row).any()
+    np.testing.assert_array_equal(_block_norms(stack, grid)[1], nan_row)
+    assert np.isnan(got[1])
     for row in (0, 2):
-        assert np.array_equal(got[row], ref_block_lp_norms(fields[row], math.inf))
+        assert got[row] == ref_besov_norm(fields[row], -0.5)
 
 
 # -- skipping ------------------------------------------------------------------
@@ -228,9 +248,9 @@ def test_only_overlapping_levels_are_synthesised(monkeypatch, dim, modes, radius
     support = np.sqrt(grid.k_squared[diff.coeffs[0] != 0])
     overlapping = [l for l in range(-1, len(part.multipliers(grid)) - 1)
                    if np.any(part.chi_level(l, support) != 0)]
-    want = ref_block_lp_norms(diff, math.inf)
+    want = ref_block_sups(diff)
     blocks = counting_synthesis(monkeypatch)
-    got = block_lp_norms(diff, math.inf)
+    got = block_sups(diff)
     assert len(blocks) == len(overlapping) < len(want)
     assert all(np.any(b) for b in blocks)
     assert np.array_equal(got, want)
@@ -242,10 +262,10 @@ def test_zero_field_synthesises_nothing(monkeypatch):
     grid = TorusGrid(2, 9)
     zero = SpectralField.zero(grid, 3)
     blocks = counting_synthesis(monkeypatch)
-    assert holder_norm(zero, -0.5) == 0.0
-    assert np.array_equal(block_lp_norms(zero, 2.0), np.zeros((len(
+    assert np.array_equal(besov_norms(zero.coeffs[None], grid, -0.5), [0.0])
+    assert np.array_equal(block_sups(zero), np.zeros((len(
         DyadicPartition().multipliers(grid)), 3)))
-    assert np.array_equal(holder_norms_batch(zero.coeffs, grid, -0.5), np.zeros(3))
+    assert np.array_equal(besov_norms(zero.coeffs, grid, -0.5), np.zeros(3))
     assert blocks == []
 
 
@@ -261,8 +281,9 @@ def test_batch_bytes_do_not_change_results(monkeypatch, dim, modes, components):
     results = []
     for size in (1, block, 3 * block + 1, 64 * 2 ** 10, 2 ** 40):
         monkeypatch.setattr(besov, "BATCH_BYTES", size)
-        results.append((block_lp_norms(f, math.inf), block_lp_norms(f, 3.0),
-                        holder_norms_batch(stack, grid, -0.5)))
+        results.append((besov_norms(f.coeffs[None], grid, -0.5),
+                        besov_norms(f.coeffs[None], grid, 0.25, 3.0),
+                        besov_norms(stack, grid, -0.5)))
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert np.array_equal(a, b)
@@ -276,13 +297,13 @@ def test_syntheses_stay_within_batch_bytes(monkeypatch, dim, modes, components,
                                            budget):
     grid = TorusGrid(dim, modes)
     stack = field_stack(grid, 6, components, seed=12)
-    want = _block_norms(stack, grid, math.inf)
+    want = _block_norms(stack, grid)
     calls = []
     monkeypatch.setattr(besov, "synthesize_coeffs", lambda c, g, pts: calls.append(
         (len(c), 8 * pts ** dim)) or synthesize_coeffs(c, g, pts))
     if budget:
         monkeypatch.setattr(besov, "BATCH_BYTES", budget)
-    assert np.array_equal(_block_norms(stack, grid, math.inf), want)
+    assert np.array_equal(_block_norms(stack, grid), want)
     assert all(n * size <= besov.BATCH_BYTES or n == 1 for n, size in calls)
     assert any(n > 1 for n, _ in calls)
     # every block whose chi_l meets its entry's coefficients, once
@@ -314,11 +335,10 @@ def test_top_levels_are_bit_identical_to_whole_grid_sampling(dim, modes):
     f = random_field(grid, components=2, seed=16)
     top = [sub == grid for sub, _ in DyadicPartition().level_grids(grid)]
     assert 1 <= sum(top) < len(top)
-    for p in (math.inf, 2.0):
-        got = block_lp_norms(f, p)
-        whole = ref_block_lp_norms(f, p, points=_dense_points(grid))
-        assert np.array_equal(got[top], whole[top])
-        assert not np.array_equal(got, whole)
+    got = block_sups(f)
+    whole = ref_block_sups(f, points=_dense_points(grid))
+    assert np.array_equal(got[top], whole[top])
+    assert not np.array_equal(got, whole)
 
 
 def sec_factor(k, points, dim):
@@ -333,9 +353,8 @@ def test_sampled_sup_certifies_the_brute_force_sup(dim, modes):
     grid = TorusGrid(dim, modes)
     fine = 6 * modes
     f = random_field(grid, components=2, seed=17)
-    sampled = block_lp_norms(f, math.inf)
-    brute = block_lp_norms(f, math.inf, points=fine)
-    assert np.array_equal(brute, ref_block_lp_norms(f, math.inf, points=fine))
+    sampled = block_sups(f)
+    brute = ref_block_sups(f, points=fine)
     for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
         k = sub.half_band
         # s_l <= sup <= brute sec(pi k/fine)^d and brute <= sup <= s_l sec(pi k/P)^d
@@ -343,13 +362,3 @@ def test_sampled_sup_certifies_the_brute_force_sup(dim, modes):
         assert np.all(brute[l] <= sec_factor(k, pts, dim) * sampled[l])
         assert sec_factor(k, pts, dim) < sec_factor(1, 8, dim)
 
-
-@pytest.mark.parametrize("dim, modes", [(1, 195), (1, 4097), (2, 35), (3, 15)])
-def test_two_norm_of_each_block_is_its_parseval_sum(dim, modes):
-    grid = TorusGrid(dim, modes)
-    f = random_field(grid, components=2, seed=18)
-    mult = DyadicPartition().multipliers(grid)
-    parseval = np.sqrt(np.sum(np.abs(f.coeffs[None] * mult[:, None]) ** 2,
-                              axis=tuple(range(2, 2 + dim))))
-    got = block_lp_norms(f, 2.0)
-    assert np.all(np.abs(got - parseval) <= 1e-12 * max(1.0, parseval.max()))

@@ -246,9 +246,18 @@ class TestConfig:
         ("inflate", "experiment", "trials", 0),
         ("inflate", "solver", "step_factor", 0),
         ("inflate", "solver", "step_factor", -0.5),
-        ("besov", "experiment", "reference_radius", 16)],
+        ("besov", "experiment", "reference_radius", 16),
+        ("besov", "experiment", "q", 0.5),
+        ("inflate", "solver", "tol", 0),
+        ("inflate", "solver", "tol", -1e-3),
+        ("inflate", "solver", "blowup_threshold", 0),
+        ("inflate", "solver", "snapshots", -1),
+        ("tables", "experiment", "t_min", 0),
+        ("tables", "experiment", "t_max", 1e-5)],
         ids=["radius-1", "radius-0", "trials-0", "step-factor-0",
-             "step-factor-negative", "radius-at-reference"])
+             "step-factor-negative", "radius-at-reference", "q-below-1",
+             "tol-0", "tol-negative", "blowup-threshold-0", "snapshots-negative",
+             "t-min-0", "t-max-below-t-min"])
     def test_out_of_range_values_are_usage_errors_that_name_the_key(
             self, tmp_path, capsys, kind, section, key, value):
         doc = tiny_doc(kind=kind)

@@ -4,14 +4,12 @@ The reference below is the complex path the spectral core replaced: scatter
 the coefficient cube into a zero G^d array, then ``ifftn``/``fftn``.
 """
 
-import math
-
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
 from nlheat import besov, solver
-from nlheat.besov import DyadicPartition, block_lp_norms, holder_norms_batch
+from nlheat.besov import DyadicPartition, besov_norms
 from nlheat.field import (SpectralField, TorusGrid, analyze_values,
                           dealias_points, synthesize_coeffs, synthesize_real)
 from nlheat.nonlinearity import preset
@@ -220,9 +218,9 @@ def test_besov_norms_reject_non_real_fields():
     grid = TorusGrid(2, 9)
     f = non_real_field(grid)
     with pytest.raises(ValueError, match="not real"):
-        block_lp_norms(f, math.inf)
+        besov_norms(f.coeffs[None], grid, -0.5)
     with pytest.raises(ValueError, match="not real"):
-        holder_norms_batch(f.coeffs, grid, -0.5)
+        besov_norms(f.coeffs, grid, -0.5)
 
 
 def test_synthesize_real_checks_coefficients():
@@ -238,12 +236,12 @@ def test_synthesize_real_checks_coefficients():
 def test_holder_batch_chunks_match_one_shot(monkeypatch, dim, modes):
     grid = TorusGrid(dim, modes)
     stack = random_coeffs(np.random.default_rng(dim), (7,), grid)
-    one_shot = holder_norms_batch(stack, grid, -0.5)
+    one_shot = besov_norms(stack, grid, -0.5)
     calls = []
     monkeypatch.setattr(besov, "synthesize_coeffs",
                         lambda *a: calls.append(1) or synthesize_coeffs(*a))
     monkeypatch.setattr(besov, "BATCH_BYTES", 1)    # one block per chunk
-    chunked = holder_norms_batch(stack, grid, -0.5)
+    chunked = besov_norms(stack, grid, -0.5)
     mult = DyadicPartition().multipliers(grid)       # every mode is non-zero
     assert len(calls) == len(stack) * np.any(mult.reshape(len(mult), -1), axis=1).sum()
     assert np.max(np.abs(chunked - one_shot)) <= RTOL * np.max(one_shot)
