@@ -1,9 +1,10 @@
 """Command line front end.
 
 Each subcommand but ``identities`` (``--seed`` only) runs a YAML config
-(``--config``) of its own kind, ``inflate``/``perturb``/``remainder`` as one;
-``--seed``, ``--threads`` and ``--out`` override its entries. Exit status: 0
-on success, 1 when a run's verdict failed, 2 on configuration or usage errors.
+(``--config``) of its own kind, ``inflate`` and ``perturb`` as one;
+``--seed``, ``--threads`` and ``--out`` override its entries, and the config
+is checked whole before any output exists. Exit status: 0 on success, 1 when
+a run's verdict failed, 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _emit(summary: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records_jsonl(out_dir / "records.jsonl", summary["records"])
     (out_dir / "summary.json").write_text(json.dumps(
         {k: v for k, v in summary.items() if k != "records"}, sort_keys=True,
@@ -74,7 +74,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_inflation(args) -> int:
-    """``inflate``, ``perturb`` and ``remainder``: one run, one verdict."""
+    """``inflate`` and ``perturb``: one run, one verdict."""
     cfg = _load_config(args)
     summary = run_inflation(cfg)
     out = Path(cfg.out)
@@ -135,7 +135,6 @@ COMMANDS = {
     "inflate": cmd_inflation,
     "perturb": cmd_inflation,
     "besov": cmd_besov,
-    "remainder": cmd_inflation,
     "tables": cmd_tables,
     "identities": cmd_identities,
 }

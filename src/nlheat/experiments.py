@@ -42,8 +42,8 @@ def _check_keys(section: dict, allowed, where: str) -> dict:
 
 
 def _typed(where: str, value, kind: type):
-    """``value`` as a ``kind`` (a list: of ints). A str is kept for the code
-    that reads it to check, and a null solver.tol selects fixed steps."""
+    """``value`` as a ``kind`` (a list: of ints). A str is kept for the load
+    check that reads it, and a null solver.tol selects fixed steps."""
     if kind is str or (value is None and where == "solver.tol"):
         return value
     try:
@@ -56,7 +56,7 @@ SOLVER_TOL = 1.5e-2     # default solver.tol (null: fixed steps); README says wh
 
 #: each section of a config document, its keys and their defaults, which
 #: from_dict fills in, each value of its default's type; ``radii`` must be
-#: given. ``profile`` keeps the keys given: VarianceProfile holds the rest.
+#: given. ``profile`` keeps the keys given: ``sampling.PROFILES`` holds the rest.
 SECTIONS = {
     "grid": {"dim": 1},
     "nonlinearity": {"preset": "antisym2", "algebra": "so3"},
@@ -70,15 +70,13 @@ SECTIONS = {
                    "t_max": 1e-1, "per_decade": 40},
     "params": {f.name: f.default for f in fields(ParameterSet)},
 }
-_PROFILE_KEYS = {"white": (), "power": ("gamma",),
-                 "powerlog": ("log_theta", "loglog_eta", "k0", "floor")}
-
-KINDS = ("sample", "solve", "inflate", "perturb", "besov", "remainder", "tables")
+KINDS = ("sample", "solve", "inflate", "perturb", "besov", "tables")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, immutable view of one experiment document."""
+    """Validated, immutable view of one experiment document: ``from_dict``
+    is the one place that checks a run's inputs."""
 
     kind: str
     seed: int
@@ -112,8 +110,10 @@ class ExperimentConfig:
         for where, value, ok, need in (
                 ("seed", seed, seed >= 0, ">= 0"),
                 ("threads", threads, threads >= 1, ">= 1"),
-                ("experiment.radii", exp["radii"], min(radii) >= 2,
-                 "a non-empty list of radii >= 2"),
+                ("grid.dim", sec["grid"]["dim"], sec["grid"]["dim"] >= 1, ">= 1"),
+                ("experiment.radii", exp["radii"],
+                 min(radii) >= 2 and _increasing(radii),
+                 "a non-empty, strictly increasing list of radii >= 2"),
                 ("experiment.trials", exp["trials"], exp["trials"] >= 1, ">= 1"),
                 ("experiment.q", exp["q"], exp["q"] >= 1, ">= 1"),
                 ("solver.step_factor", solver["step_factor"],
@@ -132,20 +132,31 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"{where} must be {need}, got {value!r}")
         dim, pair = sec.pop("grid")["dim"], tuple(sec.pop("pair").values())
-        if not isinstance(doc.get("profile", {}), dict):
-            raise ConfigError(f"profile must be a mapping, got {doc['profile']!r}")
-        profile = dict(doc.get("profile", {}))
-        pkind = profile.setdefault("kind", "white")
-        if not isinstance(pkind, str) or pkind not in _PROFILE_KEYS:
-            raise ConfigError(f"unknown profile kind {pkind!r}")
-        _check_keys(profile, ("kind",) + _PROFILE_KEYS[pkind], f"{pkind} profile")
-        profile.update({key: _typed(f"profile.{key}", v, float)
-                        for key, v in profile.items() if key != "kind"})
-        if pkind == "power":
-            profile.setdefault("gamma", 1.0 - dim)
-        return cls(kind=doc["kind"], seed=seed, dim=dim,
-                   out=str(doc.get("out", "out")), threads=threads,
-                   profile=profile, pair=pair, **sec)
+        profile = doc.get("profile", {})
+        if not isinstance(profile, dict):
+            raise ConfigError(f"profile must be a mapping, got {profile!r}")
+        profile = {"kind": "white", **{
+            key: v if key == "kind" else _typed(f"profile.{key}", v, float)
+            for key, v in profile.items()}}
+        cfg = cls(kind=doc["kind"], seed=seed, dim=dim,
+                  out=str(doc.get("out", "out")), threads=threads,
+                  profile=profile, pair=pair, **sec)
+
+        def built(where, build):
+            try:
+                return build()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+
+        # every object a run derives, built once so that a bad value fails here
+        nl = built("nonlinearity", cfg.nonlinearity_spec)
+        built("params", cfg.parameter_set)
+        built("profile", lambda: cfg.profile_for(radii[-1]))
+        built("pair", lambda: drift_direction(nl, *pair))
+        built("experiment.base", lambda: cfg.base_point(nl.dim_E))
+        if cfg.kind in ("inflate", "perturb") and asymmetry_witness(nl) is None:
+            raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
+        return cfg
 
     @classmethod
     def from_yaml(cls, path, **overrides) -> "ExperimentConfig":
@@ -159,10 +170,15 @@ class ExperimentConfig:
     # -- derived objects -----------------------------------------------------
 
     def profile_for(self, radius: int) -> VarianceProfile:
-        p = dict(self.profile)
-        if p.pop("kind") == "powerlog":
-            return VarianceProfile.power_log(self.dim, radius, **p)
-        return VarianceProfile(self.profile["kind"], radius, **p)
+        return VarianceProfile.of_kind(dim=self.dim, cutoff=radius, **self.profile)
+
+    def base_point(self, dim_E: int) -> np.ndarray:
+        """``experiment.base`` as a vector in E; ``zero`` is the origin."""
+        base = self.experiment["base"]
+        x = np.zeros(dim_E) if base == "zero" else np.asarray(base, float)
+        if x.shape != (dim_E,) or not np.all(np.isfinite(x)):
+            raise ValueError(f"must be zero or {dim_E} finite numbers: {base!r}")
+        return x
 
     def nonlinearity_spec(self) -> NonlinearitySpec:
         return preset(self.nonlinearity["preset"], self.dim,
@@ -173,12 +189,6 @@ class ExperimentConfig:
 
     def radii(self) -> list:
         return list(self.experiment["radii"])
-
-    def trials(self) -> int:
-        return self.experiment["trials"]
-
-    def epsilon(self) -> float:
-        return self.experiment["epsilon"]
 
     def horizon(self, radius: int) -> float:
         return math.log(radius) ** -self.experiment["log_exponent"]
@@ -198,18 +208,6 @@ def _trial_grid(cfg: ExperimentConfig, radius: int,
                 nl: NonlinearitySpec) -> TorusGrid:
     M = 2 * radius + 1
     return TorusGrid(cfg.dim, M, dealias_points(M, nl.has_cubic(), cfg.dim))
-
-
-def _base_point(cfg: ExperimentConfig, dim_E: int):
-    """``experiment.base`` as a vector in E, or None for the point 0."""
-    base = cfg.experiment["base"]
-    if base == "zero":
-        return None
-    if not (isinstance(base, (list, tuple)) and len(base) == dim_E and all(
-            isinstance(v, (int, float)) and math.isfinite(v) for v in base)):
-        raise ConfigError(f"experiment.base must be 'zero' or a vector of "
-                          f"{dim_E} finite numbers, got {base!r}")
-    return np.asarray(base, float)
 
 
 def trial_data(cfg: ExperimentConfig, nl: NonlinearitySpec, radius: int,
@@ -239,8 +237,8 @@ def _inflation_trial(args):
     cfg, radius, trial = args
     nl = cfg.nonlinearity_spec()
     grid, prof, X, Y_adv, Y_ctl = trial_data(cfg, nl, radius, trial)
-    epsilon, base = cfg.epsilon(), _base_point(cfg, nl.dim_E)
-    params = cfg.parameter_set()
+    epsilon, params = cfg.experiment["epsilon"], cfg.parameter_set()
+    x = SpectralField.constant(grid, cfg.base_point(nl.dim_E))
     solve_cfg = cfg.solve_config(radius)
     direction = drift_direction(nl, *cfg.pair)
 
@@ -253,7 +251,7 @@ def _inflation_trial(args):
     distances = besov_norms(perts, grid, params.eta)
     for arm, coeffs, distance in zip(("adversarial", "control"), perts, distances):
         pert = SpectralField(grid, coeffs)
-        u0 = pert if base is None else SpectralField.constant(grid, base) + pert
+        u0 = x + pert
         traj = solve(u0, nl, solve_cfg)
         rec = {
             "status": traj.status,
@@ -312,21 +310,17 @@ def _map_trials(worker, tasks, threads: int) -> list:
 
 def run_inflation(cfg: ExperimentConfig) -> dict:
     """Adversarial-vs-control zero-mode growth across the cutoff list, the
-    one runner of ``inflate``, ``perturb`` and ``remainder``.
+    one runner of ``inflate`` and ``perturb``.
 
     Per radius: trial and blow-up counts, medians over completed trials
     (and, for ``distance_median``, over all trials). Then the remainder
     spread, whether |I_T| grows, the ``inflation_verdict`` and the records.
     """
-    nl = cfg.nonlinearity_spec()
-    if asymmetry_witness(nl) is None:
-        raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
-    _base_point(cfg, nl.dim_E)          # a bad base fails before any trial
     radii = cfg.radii()
-    tasks = [(cfg, radius, t) for radius in radii for t in range(cfg.trials())]
+    tasks = [(cfg, N, t) for N in radii for t in range(cfg.experiment["trials"])]
     records = _map_trials(_inflation_trial, tasks, cfg.threads)
 
-    summary = {"kind": cfg.kind, "epsilon": cfg.epsilon(), "radii": radii,
+    summary = {"kind": cfg.kind, "epsilon": cfg.experiment["epsilon"], "radii": radii,
                "per_radius": {}}
     for radius in radii:
         rows = [r for r in records if r["radius"] == radius]
@@ -418,19 +412,15 @@ def inflation_verdict(summary: dict) -> dict:
 
 def run_besov_convergence(cfg: ExperimentConfig) -> dict:
     """Cauchy norms |X^N - X^{N_ref}| across N; medians and verdict."""
-    tasks = [(cfg, t) for t in range(cfg.trials())]
+    tasks = [(cfg, t) for t in range(cfg.experiment["trials"])]
     records = _map_trials(_besov_trial, tasks, cfg.threads)
     radii = cfg.radii()
     medians = {N: float(np.median([r["norms"][N] for r in records]))
                for N in radii}
     vals = [medians[N] for N in radii]
-    summary = {
-        "kind": "besov", "radii": radii, "medians": medians,
-        "decreasing": all(b < a for a, b in zip(vals, vals[1:])),
-        "spread": max(vals) / min(vals),
-        "records": records,
-    }
-    return summary
+    return {"kind": "besov", "radii": radii, "medians": medians,
+            "decreasing": all(b < a for a, b in zip(vals, vals[1:])),
+            "spread": max(vals) / min(vals), "records": records}
 
 
 # -- tables harness ------------------------------------------------------------
@@ -456,44 +446,33 @@ def write_csv(path, header, rows) -> None:
 def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     """All bound-verification tables in one deterministic report.
 
-    Writes ez_bounds.csv, it_bounds.csv, moments.csv, partition.csv under
-    the output directory and returns the pass/fail flags.  The two moment
-    experiments run as two tasks, in two processes when ``threads`` > 1.
+    Computes every table, then writes ez_bounds.csv, it_bounds.csv,
+    it_integral.csv, moments.csv, partition.csv and flags.csv under the
+    output directory, so a fault leaves none of them; returns the pass/fail
+    flags. The two moment experiments run as two tasks, in two processes
+    when ``threads`` > 1.
     """
-    out = Path(out_dir or cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     exp, radii = cfg.experiment, cfg.radii()
     t_grid = geometric_grid(exp["t_max"], exp["t_min"], exp["per_decade"])
     log_corrected = cfg.profile["kind"] == "powerlog"
 
     ez = verify_EZt_bounds(cfg.profile_for, cfg.dim, radii, t_grid,
                            log_corrected=log_corrected)
-    write_csv(out / "ez_bounds.csv", ["radius", "upper_ratio", "lower_ratio"],
-              list(ez.rows()))
-
     direction = drift_direction(cfg.nonlinearity_spec(), *cfg.pair)
     it = verify_It_bounds(cfg.profile_for, cfg.dim, direction, radii, t_grid)
-    write_csv(out / "it_bounds.csv", ["radius", "upper_ratio", "lower_ratio"],
-              list(it.rows()))
     int_rows = [(f"a={abp[0]},b={abp[1]},p={abp[2]}", N, r)
                 for abp, d in it.integral_ratio.items()
                 for N, r in sorted(d.items())]
-    write_csv(out / "it_integral.csv", ["exponents", "radius", "ratio"],
-              int_rows)
 
-    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, cfg.trials())
+    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, exp["trials"])
                                             for z in (False, True)], cfg.threads)
     mom_rows = [("decorrelated", N, dec.means[N], dec.q90[N]) for N in dec.radii]
     mom_rows += [("z_centred", N, zexp.means[N], zexp.q90[N]) for N in zexp.radii]
     mom_rows += [("decorrelated_slope", "", dec.slope, ""),
                  ("z_centred_slope", "", zexp.slope, "")]
-    write_csv(out / "moments.csv", ["statistic", "radius", "mean", "q90"],
-              mom_rows)
 
     mult = DyadicPartition().multipliers(TorusGrid(min(cfg.dim, 2), 33, 34))
     partition_defect = float(np.max(np.abs(mult.sum(axis=0) - 1.0)))
-    write_csv(out / "partition.csv", ["check", "value"],
-              [("partition_of_unity_defect", partition_defect)])
 
     flags = {
         "ez_bounds": ez.passed,
@@ -501,8 +480,17 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
         "moments_flat": abs(dec.slope) < 0.2 and abs(zexp.slope) < 0.2,
         "partition": partition_defect < 1e-10,
     }
-    write_csv(out / "flags.csv", ["flag", "passed"],
-              sorted(flags.items()))
+    bounds = ["radius", "upper_ratio", "lower_ratio"]
+    out = Path(out_dir or cfg.out)
+    for name, header, rows in (
+            ("ez_bounds.csv", bounds, list(ez.rows())),
+            ("it_bounds.csv", bounds, list(it.rows())),
+            ("it_integral.csv", ["exponents", "radius", "ratio"], int_rows),
+            ("moments.csv", ["statistic", "radius", "mean", "q90"], mom_rows),
+            ("partition.csv", ["check", "value"],
+             [("partition_of_unity_defect", partition_defect)]),
+            ("flags.csv", ["flag", "passed"], sorted(flags.items()))):
+        write_csv(out / name, header, rows)
     return {"kind": "tables", "flags": flags, "passed": all(flags.values()),
             "out": str(out)}
 

@@ -125,6 +125,12 @@ def asymmetry_witness(spec: NonlinearitySpec):
     return None
 
 
+def check_pair(a: int, b: int, dim_E: int) -> None:
+    """Raise unless (a, b) are two distinct component indices in [0, dim_E)."""
+    if a == b or not (0 <= a < dim_E and 0 <= b < dim_E):
+        raise ValueError(f"({a}, {b}) is no pair of components in [0, {dim_E})")
+
+
 def drift_direction(spec: NonlinearitySpec, a: int, b: int) -> np.ndarray:
     """Coefficient of E[Z_t] in the mean zero-mode velocity of the flow.
 
@@ -133,6 +139,7 @@ def drift_direction(spec: NonlinearitySpec, a: int, b: int) -> np.ndarray:
     so the mean drift of the spatial mean points along
     B_1(T^b, T^a) - B_1(T^a, T^b).
     """
+    check_pair(a, b, spec.dim_E)
     return spec.B[0, :, b, a] - spec.B[0, :, a, b]
 
 

@@ -1,7 +1,9 @@
 """Samplers for real and E-valued Gaussian Fourier series.
 
-A real GFS is determined by a variance profile k -> sigma^2(k): for modes
-k in the lexicographic half-space the coefficient is (a + i*b)/sqrt(2)
+A real GFS is determined by a variance profile k -> sigma^2(k): one
+formula, whose exponents and floor each kind in ``PROFILES`` fixes or
+defaults (``VarianceProfile.of_kind``, which configs go through too). For
+modes k in the lexicographic half-space the coefficient is (a + i*b)/sqrt(2)
 with a, b independent N(0, sigma^2(k)), the opposite half-space carries
 the conjugates, and the zero mode is a real N(0, sigma^2(0)).  The
 adversarial pair (X, Y) replaces one component of an independent copy by
@@ -15,21 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import SpectralField, TorusGrid
+from .nonlinearity import check_pair
+
+
+#: each profile kind: the keys a config may set, with their defaults, and
+#: the fields it fixes; a gamma of None is the surface-area-critical 1 - d
+PROFILES = {
+    "white": ({}, {}),
+    "power": ({"gamma": None}, {}),
+    "powerlog": ({"log_theta": -1.0, "loglog_eta": -1.0, "k0": 3.0, "floor": 1.0},
+                 {"gamma": None}),
+}
 
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Radial rule |k| -> sigma^2(k) with a hard cutoff at radius N.
-
-    kinds:
-        ``white``     sigma^2 = 1 on 0 < |k| <= N
-        ``power``     sigma^2 = |k|^gamma
-        ``powerlog``  sigma^2 = |k|^gamma (log|k|)^theta (loglog|k|)^eta
-                      for |k| >= k0, the floor constant below
-
-    The zero mode always uses the floor constant.  ``powerlog`` keeps the
-    floor up to k0 so that log log |k| stays positive on the tail.
-    """
+    """Radial rule |k| -> sigma^2(k) = |k|^gamma (log|k|)^log_theta
+    (log log|k|)^loglog_eta on k0 <= |k| <= N, ``floor`` below k0 (k0 > e
+    keeps log log|k| > 0), 0 past the cutoff N. ``white`` has all three
+    exponents 0 and ``power`` both log exponents; ``kind`` names the rule."""
 
     kind: str
     cutoff: float
@@ -40,43 +46,43 @@ class VarianceProfile:
     floor: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("white", "power", "powerlog"):
+        if self.kind not in PROFILES:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        if self.kind == "powerlog" and self.k0 <= np.e:
-            raise ValueError("powerlog needs k0 > e so log log |k| > 0")
+        if self.k0 <= np.e:
+            raise ValueError("k0 must be > e so log log |k| > 0")
 
     @classmethod
     def white(cls, cutoff: float) -> "VarianceProfile":
         return cls("white", cutoff)
 
     @classmethod
-    def power_log(cls, dim: int, cutoff: float, log_theta: float = -1.0,
-                  loglog_eta: float = -1.0, k0: float = 3.0,
-                  floor: float = 1.0) -> "VarianceProfile":
-        """Surface-area-critical profile |k|^(1-d) with log corrections."""
-        return cls("powerlog", cutoff, gamma=1.0 - dim, log_theta=log_theta,
-                   loglog_eta=loglog_eta, k0=k0, floor=floor)
+    def of_kind(cls, kind: str, dim: int, cutoff: float, **keys) -> "VarianceProfile":
+        """The ``kind`` profile in dimension ``dim``, by its ``PROFILES`` entry."""
+        if not isinstance(kind, str) or kind not in PROFILES:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        settable, fixed = PROFILES[kind]
+        unknown = set(keys) - set(settable)
+        if unknown:
+            raise ValueError(f"unknown keys in {kind} profile: {sorted(unknown)}")
+        values = {**settable, **keys, **fixed}
+        if values.get("gamma", 0.0) is None:
+            values["gamma"] = 1.0 - dim
+        return cls(kind, cutoff, **values)
 
     def sigma2_from_r2(self, r2: np.ndarray) -> np.ndarray:
         """Vectorised sigma^2 as a function of |k|^2."""
         r2 = np.asarray(r2, dtype=float)
         out = np.zeros_like(r2)
         inside = r2 <= self.cutoff ** 2 + 1e-9
-        if self.kind == "white":
-            out[inside] = 1.0
-            return out
         r = np.sqrt(r2)
-        small = inside & (r < max(self.k0, 1.0))
+        small = inside & (r < self.k0)
         out[small] = self.floor
         tail = inside & ~small
         rt = r[tail]
-        vals = rt ** self.gamma
-        if self.kind == "powerlog":
-            vals = vals * np.log(rt) ** self.log_theta \
-                * np.log(np.log(rt)) ** self.loglog_eta
-        out[tail] = vals
+        out[tail] = rt ** self.gamma * np.log(rt) ** self.log_theta \
+            * np.log(np.log(rt)) ** self.loglog_eta
         return out
 
 
@@ -148,11 +154,8 @@ def build_adversarial_pair(spec: GfsSpec, a: int, b: int, x_rngs, y_rngs):
     All other Y components are fresh independent draws with the matching
     component law, so Y equals X in law.  ``y_rngs[b]`` is ignored.
     """
-    if a == b:
-        raise ValueError("components a and b must differ")
     nc = spec.components
-    if not (0 <= a < nc and 0 <= b < nc):
-        raise ValueError("component index out of range")
+    check_pair(a, b, nc)
     X = sample_E_valued(spec, x_rngs)
     y_parts = []
     for c in range(nc):

@@ -108,7 +108,7 @@ def test_criterion_2_z_identity():
 
 def test_criterion_3_expected_Z_bounds():
     dim = 3
-    prof_for = lambda N: VarianceProfile.power_log(dim, N, -1.0, -1.0)
+    prof_for = lambda N: VarianceProfile.of_kind("powerlog", dim, N)
     t_grid = geometric_grid(1e-1, 1e-4, 40)
     rep = verify_EZt_bounds(prof_for, dim, [16, 32, 64], t_grid)
     ok = rep.upper_spread < 2.0 and rep.lower_spread < 2.0 \

@@ -67,7 +67,7 @@ class TestExactSums:
         assert compute_Zt(SpectralField(grid, coeffs), 0.1) == 0.0
 
     def test_bucketing_matches_direct_lattice_d3(self):
-        prof = VarianceProfile.power_log(3, 5, -1.0, -1.0)
+        prof = VarianceProfile.of_kind("powerlog", 3, 5)
         t = 0.07
         direct = 0.0
         for n1 in range(-5, 6):
@@ -84,7 +84,7 @@ class TestExactSums:
                                              (3, 3), (3, 5), (4, 3)])
     def test_weight_table_matches_direct_lattice(self, dim, radius):
         # exact: the weights are integer sums times sigma^2 at each n^2
-        prof = VarianceProfile.power_log(dim, radius, -1.0, -1.0)
+        prof = VarianceProfile.of_kind("powerlog", dim, radius)
         counts = {}
         for n in itertools.product(range(-radius, radius + 1), repeat=dim):
             r2 = sum(x * x for x in n)

@@ -147,7 +147,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="profile kind"):
             ExperimentConfig.from_dict(tiny_doc(profile={"kind": "pink"}))
 
-    @pytest.mark.parametrize("kind", ["identities", "moments"])
+    @pytest.mark.parametrize("kind", ["identities", "moments", "remainder"])
     def test_kinds_nothing_runs_are_rejected(self, kind):
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_dict(tiny_doc(kind=kind))
@@ -205,7 +205,9 @@ class TestConfig:
             "kind": "inflate", "seed": 1, "grid": {"dim": dim},
             "profile": {"kind": "powerlog"}, "params": {},
             "experiment": {"radii": [4]}})
-        assert cfg.profile_for(16) == VarianceProfile.power_log(dim, 16)
+        assert cfg.profile_for(16) == VarianceProfile(
+            "powerlog", 16, gamma=1.0 - dim, log_theta=-1.0, loglog_eta=-1.0,
+            k0=3.0, floor=1.0)
         assert cfg.parameter_set() == ParameterSet().check_dim(dim)
 
     def test_readme_config_block_lists_every_key_with_its_default(self):
@@ -284,6 +286,44 @@ class TestConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["inflate", "besov", "tables"])
+    @pytest.mark.parametrize("section, value, words", [
+        ("params", {"delta": 0.5}, ("params", "delta")),
+        ("params", {"eta": 5}, ("params", "eta")),
+        ("pair", {"a": 0, "b": 7}, ("pair", "(0, 7)")),
+        ("pair", {"a": -1, "b": 0}, ("pair", "(-1, 0)")),
+        ("pair", {"a": 1, "b": 1}, ("pair", "(1, 1)")),
+        ("nonlinearity", {"preset": "nope"}, ("nonlinearity", "preset")),
+        ("nonlinearity", {"preset": "dym", "algebra": "su2"},
+         ("nonlinearity", "algebra")),
+        ("profile", {"kind": "powerlog", "k0": 2.0}, ("profile", "k0")),
+        ("experiment", {"radii": [256, 64, 64]}, ("experiment.radii",)),
+        ("experiment", {"radii": [8, 8]}, ("experiment.radii",)),
+        ("experiment", {"radii": [8, 16], "base": [1.0]}, ("experiment.base",)),
+        ("grid", {"dim": 0}, ("grid.dim",))],
+        ids=["delta", "eta", "pair-past-E", "pair-negative", "pair-equal",
+             "preset", "algebra", "k0", "radii-falling", "radii-repeated",
+             "base", "dim-0"])
+    def test_bad_inputs_fail_at_load_naming_the_key(self, tmp_path, capsys,
+                                                    kind, section, value, words):
+        doc = tiny_doc(kind=kind, **{section: value})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(word in err for word in words), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).parents[1] / "benchmarks" / "configs").glob("*.yaml")),
+        ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        cfg = ExperimentConfig.from_yaml(path)
+        assert cfg.radii() == sorted(set(cfg.radii()))
 
     def test_empty_radii_rejected(self):
         doc = tiny_doc()
@@ -373,14 +413,15 @@ class TestInflation:
         assert rec["x_checksum"] > 0
 
     def test_missing_witness_rejected(self, monkeypatch):
-        # no preset is symmetric, so fake one to exercise the gate
+        # no preset is symmetric, so fake one to exercise the load check
         from nlheat.nonlinearity import NonlinearitySpec
-        cfg = ExperimentConfig.from_dict(tiny_doc())
         sym = NonlinearitySpec.from_parts(1, 2)
         monkeypatch.setattr(ExperimentConfig, "nonlinearity_spec",
                             lambda self: sym)
-        with pytest.raises(ConfigError, match="witness"):
-            run_inflation(cfg)
+        for kind in ("inflate", "perturb"):
+            with pytest.raises(ConfigError, match="witness"):
+                ExperimentConfig.from_dict(tiny_doc(kind=kind))
+        ExperimentConfig.from_dict(tiny_doc(kind="tables"))    # needs none
 
     def test_summary_covers_radii(self):
         summary = run_inflation(ExperimentConfig.from_dict(tiny_doc()))
@@ -441,7 +482,7 @@ class TestInflation:
             assert entry["control_shift_median"] == 0.5
             assert entry["trials"] == 3
 
-    @pytest.mark.parametrize("kind", ["inflate", "perturb", "remainder"])
+    @pytest.mark.parametrize("kind", ["inflate", "perturb"])
     def test_blowup_limit_fails_the_verdict(self, monkeypatch, tmp_path, capsys,
                                             kind):
         p = tmp_path / "c.yaml"
@@ -468,7 +509,7 @@ class TestInflation:
         monkeypatch.setattr(experiments, "_inflation_trial",
                             fake_trials(blown, changed))
         want = {name: name != broken for name in VERDICT_BREAKS}
-        for kind in ("inflate", "perturb", "remainder"):
+        for kind in ("inflate", "perturb"):
             p = tmp_path / f"{kind}.yaml"
             p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
             out = tmp_path / kind
@@ -499,7 +540,7 @@ class TestInflation:
         # sup_t |z(t)| includes |x| = 5 and falls with N here (medians 6.12,
         # 6.27, 5.06), while sup_t |z(t) - z(0)| follows |I_T|
         verdicts = []
-        for kind in ("inflate", "perturb", "remainder"):
+        for kind in ("inflate", "perturb"):
             doc = tiny_doc(kind=kind, seed=20260823)
             doc["experiment"] = {"radii": [32, 64, 128], "trials": 4,
                                  "epsilon": 1.0, "base": [5.0, 0.0]}
@@ -508,7 +549,7 @@ class TestInflation:
             out = tmp_path / kind
             assert main([kind, "--config", str(p), "--out", str(out)]) == 0
             verdicts.append(json.loads((out / "summary.json").read_text())["verdict"])
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[0] == verdicts[1]
         assert all(verdicts[0].values()) and len(verdicts[0]) == 7
 
     @pytest.mark.parametrize("radius", [8, 16])
@@ -516,13 +557,13 @@ class TestInflation:
                                                        tmp_path, capsys, radius):
         monkeypatch.setattr(experiments, "_inflation_trial",
                             fake_trials({radius: (3, 0)}))
-        doc = tiny_doc(kind="remainder")
+        doc = tiny_doc()
         res = run_inflation(ExperimentConfig.from_dict(doc))
         assert math.isnan(res["per_radius"][radius]["remainder_median"])
         assert math.isnan(res["remainder_spread"])
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump(doc))
-        assert main(["remainder", "--config", str(p),
+        assert main(["inflate", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 1
         out = capsys.readouterr().out
         assert f"N={radius}: non-finite median (3 adversarial and 0 control" in out
@@ -570,7 +611,7 @@ class TestInflation:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(experiments, "_inflation_trial", no_trial)
-        for kind in ("inflate", "perturb", "remainder"):
+        for kind in ("inflate", "perturb"):
             doc = tiny_doc(kind=kind)
             doc["experiment"]["base"] = base
             with pytest.raises(ConfigError, match="experiment.base"):
@@ -584,13 +625,12 @@ class TestInflation:
     def test_every_inflation_kind_honours_epsilon_and_base(self):
         runs = {}
         for kind, run in (("inflate", run_inflation),
-                          ("perturb", run_perturbed_inflation),
-                          ("remainder", run_inflation)):
+                          ("perturb", run_perturbed_inflation)):
             doc = tiny_doc(kind=kind)
             doc["experiment"].update(epsilon=0.5, base=[0.25, -0.5],
                                      radii=[8], trials=2)
             runs[kind] = run(ExperimentConfig.from_dict(doc))["records"]
-        assert runs["inflate"] == runs["perturb"] == runs["remainder"]
+        assert runs["inflate"] == runs["perturb"]
         doc = tiny_doc()
         doc["experiment"].update(radii=[8], trials=2)
         assert run_inflation(ExperimentConfig.from_dict(doc))["records"] != \
@@ -638,6 +678,16 @@ class TestTables:
         cfg = ExperimentConfig.from_dict({**self.base_doc(), "threads": 2})
         run_tables(cfg, tmp_path)
         assert calls == [(experiments._moment_trend, 2, 2)]
+
+    def test_a_fault_in_a_table_leaves_no_output(self, tmp_path, monkeypatch):
+        # the moment experiments run after the bound tables; every table is
+        # computed before the directory is made
+        def fault(worker, tasks, threads):
+            raise RuntimeError("moment experiment failed")
+        monkeypatch.setattr(experiments, "_map_trials", fault)
+        with pytest.raises(RuntimeError):
+            run_tables(ExperimentConfig.from_dict(self.base_doc()), tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_growing_profile_trips_upper_flag(self, tmp_path):
         doc = self.base_doc()
@@ -687,7 +737,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, kind", [
         ("inflate", "tables"), ("tables", "inflate"), ("perturb", "besov"),
-        ("sample", "solve"), ("solve", "remainder")])
+        ("sample", "solve"), ("solve", "tables")])
     def test_a_command_rejects_a_config_of_another_kind(self, tmp_path, capsys,
                                                        command, kind):
         p = tmp_path / "c.yaml"
@@ -701,13 +751,19 @@ class TestCli:
     def test_inflation_commands_run_each_others_kinds(self, monkeypatch,
                                                       tmp_path, capsys):
         monkeypatch.setattr(experiments, "_inflation_trial", fake_trials({}))
-        for kind in ("inflate", "perturb", "remainder"):
+        for kind in ("inflate", "perturb"):
             p = tmp_path / f"{kind}.yaml"
             p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
-            for command in ("inflate", "perturb", "remainder"):
+            for command in ("inflate", "perturb"):
                 out = tmp_path / command / kind
                 assert main([command, "--config", str(p), "--out", str(out)]) == 0
                 assert json.loads((out / "summary.json").read_text())["kind"] == kind
+
+    def test_remainder_is_no_subcommand(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text(yaml.safe_dump(tiny_doc()))
+        assert main(["remainder", "--config", str(p)]) == 2
+        assert "invalid choice: 'remainder'" in capsys.readouterr().err
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["inflate"]) == 2

@@ -61,6 +61,13 @@ class TestWitness:
         spec = preset_antisym2(1)
         assert np.allclose(drift_direction(spec, 0, 1), [-2.0, 0.0])
 
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (-1, 0), (0, -1), (0, 2),
+                                      (2, 0), (0, 7)])
+    def test_drift_direction_rejects_a_pair_outside_E(self, a, b):
+        # -1 would index the last component, and 7 past the end of B
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            drift_direction(preset_antisym2(1), a, b)
+
     def test_permutation_equivariance(self):
         spec = preset_dym(2)
         perm = np.roll(np.arange(spec.dim_E), 1)

@@ -4,9 +4,31 @@ import numpy as np
 import pytest
 
 from nlheat.field import TorusGrid
-from nlheat.sampling import (GfsSpec, VarianceProfile, build_adversarial_pair,
-                             half_space_mask, sample_E_valued,
-                             sample_real_gfs, stream)
+from nlheat.sampling import (PROFILES, GfsSpec, VarianceProfile,
+                             build_adversarial_pair, half_space_mask,
+                             sample_E_valued, sample_real_gfs, stream)
+
+
+def reference_sigma2(p: VarianceProfile, r2) -> np.ndarray:
+    """sigma^2 by one formula per kind: 1 for ``white``; the floor below
+    |k| = 3, then |k|^gamma for ``power``, times (log|k|)^theta (log log|k|)^eta
+    for ``powerlog``."""
+    r2 = np.asarray(r2, dtype=float)
+    out = np.zeros_like(r2)
+    inside = r2 <= p.cutoff ** 2 + 1e-9
+    if p.kind == "white":
+        out[inside] = 1.0
+        return out
+    r = np.sqrt(r2)
+    small = inside & (r < max(p.k0, 1.0))
+    out[small] = p.floor
+    rt = r[inside & ~small]
+    vals = rt ** p.gamma
+    if p.kind == "powerlog":
+        vals = vals * np.log(rt) ** p.log_theta \
+            * np.log(np.log(rt)) ** p.loglog_eta
+    out[inside & ~small] = vals
+    return out
 
 
 class TestVarianceProfile:
@@ -20,7 +42,7 @@ class TestVarianceProfile:
         assert abs(p.sigma2_from_r2(16.0) - 1.0 / 16.0) < 1e-14
 
     def test_powerlog_floor_region(self):
-        p = VarianceProfile.power_log(3, 16, -1.0, -1.0)
+        p = VarianceProfile.of_kind("powerlog", 3, 16)
         assert p.sigma2_from_r2(1.0) == p.floor
         assert p.sigma2_from_r2(4.0) == p.floor
         r = 5.0
@@ -30,10 +52,42 @@ class TestVarianceProfile:
     def test_powerlog_requires_k0_above_e(self):
         with pytest.raises(ValueError):
             VarianceProfile("powerlog", 8, gamma=-2.0, k0=2.0)
+        with pytest.raises(ValueError, match="k0"):
+            VarianceProfile.of_kind("powerlog", 1, 8, k0=2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             VarianceProfile("pink", 8)
+        with pytest.raises(ValueError, match="profile kind"):
+            VarianceProfile.of_kind(["white"], 1, 8)
+
+    @pytest.mark.parametrize("profile", [
+        VarianceProfile.white(2048), VarianceProfile("power", 2048, gamma=-1.0),
+        VarianceProfile("power", 2048, gamma=-2.0),
+        *(VarianceProfile.of_kind("powerlog", d, 2048) for d in (1, 2, 3))],
+        ids=["white", "power-1", "power-2", "powerlog-d1", "powerlog-d2",
+             "powerlog-d3"])
+    def test_one_formula_matches_the_per_kind_formulas_bit_for_bit(self, profile):
+        r2 = np.arange(0.0, 3 * 2048 ** 2, 7.0)
+        assert profile.sigma2_from_r2(r2).tobytes() == \
+            reference_sigma2(profile, r2).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_kind_takes_its_table_defaults(self, dim):
+        assert VarianceProfile.of_kind("white", dim, 8) == VarianceProfile.white(8)
+        assert VarianceProfile.of_kind("power", dim, 8) == \
+            VarianceProfile("power", 8, gamma=1.0 - dim)
+        assert VarianceProfile.of_kind("power", dim, 8, gamma=-3.0).gamma == -3.0
+        assert VarianceProfile.of_kind("powerlog", dim, 8) == VarianceProfile(
+            "powerlog", 8, gamma=1.0 - dim, log_theta=-1.0, loglog_eta=-1.0,
+            k0=3.0, floor=1.0)
+        assert set(PROFILES) == {"white", "power", "powerlog"}
+
+    @pytest.mark.parametrize("kind, key", [("white", "gamma"), ("power", "floor"),
+                                           ("powerlog", "gamma")])
+    def test_keys_a_kind_does_not_set_are_rejected(self, kind, key):
+        with pytest.raises(ValueError, match=f"{kind} profile.*{key}"):
+            VarianceProfile.of_kind(kind, 1, 8, **{key: 1.0})
 
 
 class TestHalfSpace:
