@@ -15,12 +15,19 @@ Block Delta_l f has its coefficients in the smallest sub-cube |k_i| <= K_l
 that holds the support of chi_l (K_l = K where chi_l is zero on the cube), and
 is sampled there on P_l = ``_dense_points`` of that sub-cube per axis (the
 whole grid's P where K_l = K). Its sampled max s bounds sup|Delta_l f| within
-[s, sec(pi K_l / P_l)^d s] (Ehlich-Zeller), with K_l / P_l < 1/8. A block
-whose coefficients miss the support of chi_l (read off the zero patterns of
-the coefficients and the cached multipliers) is 0.0 and is not synthesised,
-unless its (row, component) entry holds a non-finite coefficient. Level by
-level, the live blocks are synthesised in chunks of at most ``BATCH_BYTES`` of
-real values, and at least one block.
+[s, sec(pi K_l / P_l)^d s] (Ehlich-Zeller), with K_l / P_l < 1/8.
+
+Only blocks that can change a norm are synthesised. One matrix product gives,
+per (row, component) entry e, bound[e, l] = sum_k chi_l(k) |f_k| >=
+sup|Delta_l f|, 0 exactly when the block is (inf if e holds a non-finite
+coefficient). Levels run upwards; a block is synthesised only if its bound is
+> 0 and, for a q = inf norm, 2^(alpha l) bound (1 + 1e-9) is not below the
+max of the weighted sups its entry already has (the margin covers rounding in
+the bound and the synthesis). A skipped sample could not reach that max, so
+each norm is bit-identical to sampling all blocks and keeps its sec(pi/8)^d
+certificate. Equal blocks of a level share one synthesis (the radius tails of
+one field do above the radius); the rest go in chunks of at most
+``BATCH_BYTES`` of real values, or one block.
 """
 
 from __future__ import annotations
@@ -114,26 +121,38 @@ def _dense_points(grid: TorusGrid) -> int:
     return fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
-def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Sampled sup|Delta_l f| of a (B, nc, M..) stack of real fields:
-    (B, L, nc). Samples, skips and chunks as the module docstring says."""
-    mult = DyadicPartition().multipliers(grid)                  # (L, M..)
+def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid,
+                 alpha: float | None = None) -> np.ndarray:
+    """Sampled sup|Delta_l f| of a (B, nc, M..) stack of real fields: (B, L, nc),
+    as the module docstring says; ``alpha`` adds the q = inf skip. A skipped block
+    holds 0.0: exact if the block is zero, else below its entry's weighted max."""
+    mult, K = DyadicPartition().multipliers(grid), grid.half_band    # (L, M..)
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
-    live = (flat != 0).reshape(B * nc, -1) @ (mult != 0).reshape(len(mult), -1).T
-    # inf * 0 is NaN: no block of an entry with a non-finite coefficient is zero
-    live[~np.isfinite(flat).reshape(B * nc, -1).all(axis=1)] = True
-    out = np.zeros((B * nc, len(mult)))
-    K = grid.half_band
+    size = np.abs(flat).reshape(B * nc, -1)
+    bound = size @ np.abs(mult).reshape(len(mult), -1).T        # (B nc, L)
+    bound[~np.isfinite(size).all(axis=1)] = np.inf              # not inf * 0 = NaN
+    weight = 2.0 ** ((alpha or 0.0) * np.arange(-1, len(mult) - 1))
+    top, out = np.zeros(B * nc), np.zeros((B * nc, len(mult)))  # running max, sups
     for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
         cube = (slice(K - sub.half_band, K + sub.half_band + 1),) * grid.dim
-        entries = np.flatnonzero(live[:, l])
+        m, b, f = mult[(l, *cube)], bound[:, l], flat[(slice(None), *cube)]
+        entries = np.flatnonzero((b > 0) & ~(weight[l] * (1 + 1e-9) * b < top))
+        # an entry takes the sup of its predecessor in bound order if the bounds
+        # agree to the margin (gemm may round equal rows apart) and blocks are equal
+        order, same = entries[np.argsort(b[entries])], np.zeros(len(entries), bool)
+        for i in np.flatnonzero(b[order][1:] <= b[order][:-1] * (1 + 1e-9)) + 1:
+            same[i] = np.array_equal(f[order[i]] * m, f[order[i - 1]] * m)
+        todo = order[~same]
         cap = max(1, BATCH_BYTES // (8 * pts ** grid.dim))     # blocks per synthesis
-        for start in range(0, len(entries), cap):
-            e = entries[start:start + cap]
-            vals = synthesize_coeffs(flat[(e, *cube)] * mult[(l, *cube)], sub,
-                                     pts).reshape(len(e), -1)
+        for start in range(0, len(todo), cap):
+            e = todo[start:start + cap]
+            vals = synthesize_coeffs(f[e] * m, sub, pts).reshape(len(e), -1)
             out[e, l] = np.abs(vals, out=vals).max(axis=-1)
+        for i in np.flatnonzero(same):              # in order, so chains resolve
+            out[order[i], l] = out[order[i - 1], l]
+        if alpha is not None:
+            top = np.maximum(top, weight[l] * out[:, l])
     return out.reshape(B, nc, -1).transpose(0, 2, 1)
 
 
@@ -146,7 +165,7 @@ def besov_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
     coeff_stack = coeff_stack.reshape((len(coeff_stack), -1) + grid.mode_shape)
     if not real_fields(coeff_stack, grid.dim).all():
         raise ValueError("a field of the stack is not real")
-    sups = _block_norms(coeff_stack, grid)
+    sups = _block_norms(coeff_stack, grid, alpha if math.isinf(q) else None)
     weighted = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))[:, None] * sups
     per_comp = weighted.max(axis=1) if math.isinf(q) else \
         (weighted ** q).sum(axis=1) ** (1.0 / q)

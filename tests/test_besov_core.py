@@ -5,9 +5,11 @@ every block of a level in one go, each level on its own grid: the sub-cube
 |k_i| <= K_l that holds the support of chi_l, sampled on
 ``_dense_points(TorusGrid(d, 2 K_l + 1))`` points per axis (the whole cube on
 its dense grid where K_l = K, or where chi_l is zero on the whole cube).  The
-core skips blocks whose coefficients miss the support of chi_l and
-synthesises in chunks of blocks, so its results must equal these bit for bit.
-``ref_besov_norm`` weights and sums one field's reference sups on its own.
+core skips zero blocks, and under a q = inf norm the blocks that cannot reach
+their entry's weighted max; it synthesises equal blocks of a level once and
+the rest in chunks of blocks, so its norms must equal these bit for bit.
+``ref_besov_norm`` weights and sums one field's reference sups on its own, and
+``rule_blocks`` counts the blocks the skip rule leaves, from the references.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 from nlheat import besov
 from nlheat.besov import DyadicPartition, _block_norms, _dense_points, besov_norms
 from nlheat.experiments import ExperimentConfig, _besov_trial
-from nlheat.field import SpectralField, TorusGrid, synthesize_coeffs
+from nlheat.field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
 
@@ -79,7 +81,7 @@ def random_field(grid, components=1, seed=0):
         [sample_real_gfs(prof, grid, stream(seed, c)) for c in range(components)])
 
 
-def heat_stack(grid, rows, seed=0):
+def heat_stack(grid, rows=9, seed=0):
     """Rows X e^{-t|k|^2} over a geometric t grid, as the moment tables
     build them: the high modes of the late rows underflow to exact zeros."""
     X = random_field(grid, seed=seed).coeffs[0]
@@ -92,6 +94,27 @@ def band_difference(grid, radius, seed=0):
     X = random_field(grid, seed=seed)
     return SpectralField(grid, np.where(grid.k_squared > radius * radius + 1e-9,
                                         X.coeffs, 0.0))
+
+
+def rule_blocks(stack, grid, alpha=None):
+    """How many blocks the core synthesises for a (B, nc, M..) stack: per level
+    the distinct blocks of the entries whose bound sum_k chi_l(k) |f_k| (inf
+    if the entry is not finite) is > 0 and, given ``alpha``, whose weighted
+    bound (1 + 1e-9) is not below the entry's max weighted reference sup so far."""
+    mult = DyadicPartition().multipliers(grid)
+    entries = stack.reshape((-1,) + grid.mode_shape)
+    sups = [v.max(axis=-1) for v in ref_block_values(entries, grid)]
+    top, count = np.zeros(len(entries)), 0
+    for l, (row, (cube, _, _)) in enumerate(zip(mult, ref_levels(grid))):
+        weight, blocks = 2.0 ** ((alpha or 0.0) * (l - 1)), set()
+        for e, f in enumerate(entries):
+            bound = np.sum(row * np.abs(f)) if np.isfinite(f).all() else np.inf
+            if bound > 0 and not weight * (1 + 1e-9) * bound < top[e]:
+                blocks.add((f[cube] * row[cube] + 0.0).tobytes())     # -0.0 is 0.0
+        count += len(blocks)
+        if alpha is not None:
+            top = np.maximum(top, weight * sups[l])
+    return count
 
 
 def counting_synthesis(monkeypatch):
@@ -225,7 +248,12 @@ def test_non_finite_entry_leaves_other_entries_skipped(monkeypatch):
     mult = DyadicPartition().multipliers(grid)
     blocks = counting_synthesis(monkeypatch)
     got = besov_norms(stack, grid, -0.5)
-    # the inf entry synthesises every level, the others only their live ones
+    # the inf entry's bound is inf, so it synthesises every level, and the
+    # q = inf skip holds for the others: the count is the rule's
+    assert len(blocks) == rule_blocks(stack, grid, -0.5) < 3 * len(mult)
+    # with q < inf, the others synthesise every live block
+    blocks.clear()
+    besov_norms(stack, grid, -0.5, 4.0)
     live = [int(np.any(mult * f.coeffs != 0, axis=1).sum()) for f in fields]
     assert len(blocks) == live[0] + len(mult) + live[2] < 3 * len(mult)
     # levels whose sub-cube holds the inf are NaN (inf * 0), and so is its norm
@@ -269,6 +297,143 @@ def test_zero_field_synthesises_nothing(monkeypatch):
     assert blocks == []
 
 
+# -- the q = inf skip and shared blocks ------------------------------------------
+
+def gff_stack(grid, rows=3, components=2, seed=0):
+    """Rough GFF samples, sigma^2 = |k|^-2: (rows, components, M..)."""
+    prof = VarianceProfile.of_kind("power", grid.dim, grid.half_band, gamma=-2.0)
+    return np.stack([[sample_real_gfs(prof, grid, stream(seed, r, c)).coeffs[0]
+                      for c in range(components)] for r in range(rows)])
+
+
+def product_stack(grid, rows=9, seed=0):
+    """pi_0(P_t X d_1 P_t Y) over a geometric t grid, the stack that
+    ``correlation.decorrelated_statistic`` builds."""
+    X, Y = random_field(grid, seed=seed), random_field(grid, seed=seed + 1)
+    decay = np.exp(-np.multiply.outer(np.geomspace(1e-4, 1e-1, rows), grid.k_squared))
+    prod = synthesize_coeffs(X.coeffs[0] * decay, grid) \
+        * synthesize_coeffs(Y.derivative(0).coeffs[0] * decay, grid)
+    coeffs = analyze_values(prod, grid)
+    coeffs[grid.zero_mode_index] = 0.0
+    return coeffs
+
+
+def tail_stack(grid, seed=0):
+    """The tails X - X^N of one powerlog sample over radii N from 1 to K, one
+    stack, as ``_besov_trial`` builds it."""
+    X = sample_real_gfs(VarianceProfile.of_kind("powerlog", grid.dim, grid.half_band),
+                        grid, stream(seed, 0, 0))
+    radii = np.unique(np.geomspace(1, grid.half_band, 7).astype(int))
+    return np.stack([np.where(grid.k_squared > N * N + 1e-9, X.coeffs, 0.0)
+                     for N in radii])
+
+
+def odd_stack(grid, seed=0):
+    """A field, it with a zero component, it with an inf coefficient, and
+    copies of the first two."""
+    f = random_field(grid, components=2, seed=seed).coeffs
+    zero, bad = f.copy(), f.copy()
+    zero[1] = 0.0
+    bad[0][(grid.half_band + 1,) * grid.dim] = np.inf
+    return np.stack([f, zero, bad, f, zero])
+
+
+STACKS = {"gff": gff_stack, "heat": heat_stack, "product": product_stack,
+          "tails": tail_stack, "odd": odd_stack}
+PRUNE_GRIDS = [(1, 257), (2, 17), (3, 9)]
+
+
+def weighted_max(stack, grid, alpha):
+    """q = inf norms from the unpruned core: the weighted max over every block."""
+    sups = _block_norms(stack, grid)
+    weight = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))
+    return (weight[:, None] * sups).max(axis=1).sum(axis=1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+@pytest.mark.parametrize("kind", STACKS)
+def test_pruned_norms_equal_the_weighted_max_of_every_block(dim, modes, kind):
+    grid = TorusGrid(dim, modes)
+    stack = STACKS[kind](grid, seed=dim)
+    stack = stack.reshape((len(stack), -1) + grid.mode_shape)
+    every = _block_norms(stack, grid)
+    skipped = 0
+    for alpha in (-1.0, -0.5, 0.25):
+        want = weighted_max(stack, grid, alpha)
+        assert np.array_equal(besov_norms(stack, grid, alpha), want, equal_nan=True)
+        # a skipped block holds 0.0, and its sup stays below its entry's max
+        pruned = _block_norms(stack, grid, alpha)
+        gone = ~((pruned == every) | np.isnan(pruned) & np.isnan(every))
+        weight = 2.0 ** (alpha * np.arange(-1, every.shape[1] - 1))[:, None]
+        below = weight * every < (weight * every).max(axis=1, keepdims=True)
+        assert np.all(pruned[gone] == 0.0) and np.all(below[gone])
+        skipped += gone.sum()
+    assert skipped or kind == "odd"
+
+
+def live_blocks(stack, grid):
+    """Blocks of a (B, nc, M..) stack whose coefficients meet chi_l's support."""
+    mult = DyadicPartition().multipliers(grid)
+    entries = stack.reshape((-1, 1) + grid.mode_shape)
+    return int(np.any((entries * mult != 0).reshape(len(entries), len(mult), -1),
+                      axis=-1).sum())
+
+
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+@pytest.mark.parametrize("kind", ["heat", "product"])
+def test_smooth_stack_synthesises_fewer_blocks_than_are_live(monkeypatch, dim,
+                                                              modes, kind):
+    grid = TorusGrid(dim, modes)
+    stack = STACKS[kind](grid, seed=dim)
+    blocks = counting_synthesis(monkeypatch)
+    besov_norms(stack, grid, 0.25, 4.0)
+    assert len(blocks) == live_blocks(stack, grid)      # q < inf: every live block
+    blocks.clear()
+    besov_norms(stack, grid, -0.5)
+    assert len(blocks) == rule_blocks(stack, grid, -0.5) < live_blocks(stack, grid)
+
+
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+@pytest.mark.parametrize("q", [math.inf, 4.0])
+def test_copies_of_a_field_synthesise_as_many_blocks_as_one(monkeypatch, dim,
+                                                           modes, q):
+    grid = TorusGrid(dim, modes)
+    f = random_field(grid, components=2, seed=20).coeffs
+    blocks = counting_synthesis(monkeypatch)
+    one = besov_norms(f[None], grid, -0.5, q)
+    single = len(blocks)
+    for k in (2, 5):
+        blocks.clear()
+        assert np.array_equal(besov_norms(np.stack([f] * k), grid, -0.5, q),
+                              np.repeat(one, k))
+        assert len(blocks) == single
+
+
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+def test_equal_bounds_with_different_blocks_are_not_shared(monkeypatch, dim, modes):
+    # a translate of f has the same |f_k|, so the same bounds, but its own samples
+    grid = TorusGrid(dim, modes)
+    f = random_field(grid, components=2, seed=22)
+    k = np.indices(grid.mode_shape) - grid.half_band
+    moved = SpectralField(grid, f.coeffs * np.exp(0.3j * k.sum(axis=0)))
+    blocks = counting_synthesis(monkeypatch)
+    got = _block_norms(np.stack([f.coeffs, moved.coeffs]), grid)
+    assert np.array_equal(got[0], ref_block_sups(f))
+    assert np.array_equal(got[1], ref_block_sups(moved))
+    assert not np.array_equal(got[0], got[1])
+    assert len(blocks) == 2 * live_blocks(f.coeffs, grid)
+
+
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS + [(1, 4097)])
+def test_radius_tails_share_their_high_blocks(monkeypatch, dim, modes):
+    grid = TorusGrid(dim, modes)
+    stack = tail_stack(grid, seed=21)
+    blocks = counting_synthesis(monkeypatch)
+    besov_norms(stack, grid, -0.5, 4.0)
+    assert len(blocks) == rule_blocks(stack, grid) < live_blocks(stack, grid)
+
+
 # -- chunking ------------------------------------------------------------------
 
 @pytest.mark.parametrize("dim, modes, components", [(1, 65, 1), (2, 9, 2),
@@ -276,14 +441,16 @@ def test_zero_field_synthesises_nothing(monkeypatch):
 def test_batch_bytes_do_not_change_results(monkeypatch, dim, modes, components):
     grid = TorusGrid(dim, modes)
     f = random_field(grid, components, seed=10)
-    stack = heat_stack(grid, 13, seed=11)
+    stack, tails = heat_stack(grid, 13, seed=11), tail_stack(grid, seed=11)
     block = 8 * _dense_points(grid) ** dim
     results = []
     for size in (1, block, 3 * block + 1, 64 * 2 ** 10, 2 ** 40):
         monkeypatch.setattr(besov, "BATCH_BYTES", size)
         results.append((besov_norms(f.coeffs[None], grid, -0.5),
                         besov_norms(f.coeffs[None], grid, 0.25, 3.0),
-                        besov_norms(stack, grid, -0.5)))
+                        besov_norms(stack, grid, -0.5),
+                        besov_norms(tails, grid, -0.5),
+                        besov_norms(np.stack([f.coeffs] * 3), grid, -0.5)))
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert np.array_equal(a, b)

@@ -35,7 +35,7 @@ def real_coeffs(rng, components, grid):
 
 def grid_for(spec, radius):
     M = 2 * radius + 1
-    return TorusGrid(spec.dim, M, dealias_points(M, cubic=spec.has_cubic()))
+    return TorusGrid(spec.dim, M, dealias_points(M, spec.has_cubic(), spec.dim))
 
 
 def assert_matches_einsum(spec, radius, seed=0):

@@ -14,6 +14,7 @@ from nlheat.field import (SpectralField, TorusGrid, analyze_values,
                           dealias_points, synthesize_coeffs, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
+from test_besov_core import rule_blocks
 
 RTOL = 1e-12
 
@@ -189,7 +190,7 @@ def test_solve_matches_complex_path(monkeypatch):
 
 def test_dym_rhs_matches_complex_path(monkeypatch):
     spec = preset("dym", 3)
-    grid = TorusGrid(3, 9, dealias_points(9, cubic=True))
+    grid = TorusGrid(3, 9, dealias_points(9, cubic=True, dim=3))
     coeffs = random_coeffs(np.random.default_rng(3), (spec.dim_E,), grid)
     new, new_sup = solver.nonlinear_rhs_coeffs(coeffs, grid, spec)
     _patch_reference(monkeypatch)
@@ -237,11 +238,18 @@ def test_holder_batch_chunks_match_one_shot(monkeypatch, dim, modes):
     grid = TorusGrid(dim, modes)
     stack = random_coeffs(np.random.default_rng(dim), (7,), grid)
     one_shot = besov_norms(stack, grid, -0.5)
+    one_shot_q4 = besov_norms(stack, grid, -0.5, 4.0)
     calls = []
     monkeypatch.setattr(besov, "synthesize_coeffs",
                         lambda *a: calls.append(1) or synthesize_coeffs(*a))
     monkeypatch.setattr(besov, "BATCH_BYTES", 1)    # one block per chunk
     chunked = besov_norms(stack, grid, -0.5)
+    # the q = inf skip leaves the blocks its rule predicts
+    assert len(calls) == rule_blocks(stack, grid, -0.5)
+    assert np.max(np.abs(chunked - one_shot)) <= RTOL * np.max(one_shot)
+    # with q < inf every live block is synthesised
+    calls.clear()
+    chunked = besov_norms(stack, grid, -0.5, 4.0)
     mult = DyadicPartition().multipliers(grid)       # every mode is non-zero
     assert len(calls) == len(stack) * np.any(mult.reshape(len(mult), -1), axis=1).sum()
-    assert np.max(np.abs(chunked - one_shot)) <= RTOL * np.max(one_shot)
+    assert np.max(np.abs(chunked - one_shot_q4)) <= RTOL * np.max(one_shot_q4)
