@@ -6,10 +6,10 @@ telescoping identity sum_l chi_l = 1 holds exactly by construction: chi_{-1}
 equals 1 on B(3/4), vanishes outside B(4/3), and chi(x) = chi_{-1}(x/2) -
 chi_{-1}(x) is supported in the annulus B(8/3) \\ B(3/4).
 
-``besov_norms`` is the one norm function: per field of a (B, nc, M..) stack,
-checked against its own scale (``field.real_fields``), the l^q norm over l of
-2^(alpha l) sup|Delta_l f|, summed over the components. Hoelder C^alpha is
-B^alpha_{inf,inf}, its default q.
+``besov_norms`` gives per field of a (B, nc, M..) stack, checked against its own
+scale (``field.real_fields``), the l^q norm over l of 2^(alpha l) sup|Delta_l f|
+summed over the components (Hoelder C^alpha = B^alpha_{inf,inf}, the default q);
+``holder_sup`` gives max_b w_b |f_b|_{C^alpha}, bit for bit max(w * besov_norms).
 
 Block Delta_l f has its coefficients in the smallest sub-cube |k_i| <= K_l
 that holds the support of chi_l (K_l = K where chi_l is zero on the cube), and
@@ -22,12 +22,12 @@ per (row, component) entry e, bound[e, l] = sum_k chi_l(k) |f_k| >=
 sup|Delta_l f|, 0 exactly when the block is (inf if e holds a non-finite
 coefficient). Levels run upwards; a block is synthesised only if its bound is
 > 0 and, for a q = inf norm, 2^(alpha l) bound (1 + 1e-9) is not below the
-max of the weighted sups its entry already has (the margin covers rounding in
-the bound and the synthesis). A skipped sample could not reach that max, so
-each norm is bit-identical to sampling all blocks and keeps its sec(pi/8)^d
-certificate. Equal blocks of a level share one synthesis (the radius tails of
-one field do above the radius); the rest go in chunks of at most
-``BATCH_BYTES`` of real values, or one block.
+max of the weighted sups its entry already has (``holder_sup``: w_b times it,
+below max w_b 2^(alpha l) sup over the stack). The margin covers rounding in
+the bound and the synthesis, so a skipped block (its sup reads 0.0) could not
+reach that max: results are bit-identical to sampling all blocks and keep the
+sec(pi/8)^d certificate. Equal blocks of a level share one synthesis (radius
+tails of one field do above the radius); the rest go in ``BATCH_BYTES`` chunks.
 """
 
 from __future__ import annotations
@@ -121,11 +121,10 @@ def _dense_points(grid: TorusGrid) -> int:
     return fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
-def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid,
-                 alpha: float | None = None) -> np.ndarray:
-    """Sampled sup|Delta_l f| of a (B, nc, M..) stack of real fields: (B, L, nc),
-    as the module docstring says; ``alpha`` adds the q = inf skip. A skipped block
-    holds 0.0: exact if the block is zero, else below its entry's weighted max."""
+def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float | None = None,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """Sampled sup|Delta_l f|, (B, L, nc), of a (B, nc, M..) real stack; ``alpha`` adds
+    the q = inf skip against each entry's max, or the stack's given (B,) ``weights``."""
     mult, K = DyadicPartition().multipliers(grid), grid.half_band    # (L, M..)
     B, nc = coeff_stack.shape[:2]
     flat = coeff_stack.reshape((B * nc,) + grid.mode_shape)
@@ -133,11 +132,14 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid,
     bound = size @ np.abs(mult).reshape(len(mult), -1).T        # (B nc, L)
     bound[~np.isfinite(size).all(axis=1)] = np.inf              # not inf * 0 = NaN
     weight = 2.0 ** ((alpha or 0.0) * np.arange(-1, len(mult) - 1))
+    w = np.ones(B * nc) if weights is None else np.repeat(weights, nc)
     top, out = np.zeros(B * nc), np.zeros((B * nc, len(mult)))  # running max, sups
     for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
         cube = (slice(K - sub.half_band, K + sub.half_band + 1),) * grid.dim
         m, b, f = mult[(l, *cube)], bound[:, l], flat[(slice(None), *cube)]
-        entries = np.flatnonzero((b > 0) & ~(weight[l] * (1 + 1e-9) * b < top))
+        entries = np.flatnonzero((b > 0) & ~(w * (weight[l] * (1 + 1e-9) * b) < top))
+        if not len(entries):                # out[:, l] stays 0.0, and top as it is
+            continue
         # an entry takes the sup of its predecessor in bound order if the bounds
         # agree to the margin (gemm may round equal rows apart) and blocks are equal
         order, same = entries[np.argsort(b[entries])], np.zeros(len(entries), bool)
@@ -151,9 +153,18 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid,
             out[e, l] = np.abs(vals, out=vals).max(axis=-1)
         for i in np.flatnonzero(same):              # in order, so chains resolve
             out[order[i], l] = out[order[i - 1], l]
-        if alpha is not None:
-            top = np.maximum(top, weight[l] * out[:, l])
+        if alpha is not None:       # w_b (2^(alpha l) sup), as holder_sup forms it
+            level = w * (weight[l] * out[:, l])
+            top = np.maximum(top, level if weights is None else level.max())
     return out.reshape(B, nc, -1).transpose(0, 2, 1)
+
+
+def _real_stack(coeff_stack: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """A (B, M..) or (B, nc, M..) stack as (B, nc, M..), if its fields are real."""
+    coeff_stack = coeff_stack.reshape((len(coeff_stack), -1) + grid.mode_shape)
+    if not real_fields(coeff_stack, grid.dim).all():
+        raise ValueError("a field of the stack is not real")
+    return coeff_stack
 
 
 def besov_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
@@ -162,11 +173,21 @@ def besov_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
     over its components: shape (B,). A (B, M..) stack holds scalar fields."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q!r}")
-    coeff_stack = coeff_stack.reshape((len(coeff_stack), -1) + grid.mode_shape)
-    if not real_fields(coeff_stack, grid.dim).all():
-        raise ValueError("a field of the stack is not real")
+    coeff_stack = _real_stack(coeff_stack, grid)
     sups = _block_norms(coeff_stack, grid, alpha if math.isinf(q) else None)
     weighted = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))[:, None] * sups
     per_comp = weighted.max(axis=1) if math.isinf(q) else \
         (weighted ** q).sum(axis=1) ** (1.0 / q)
     return per_comp.sum(axis=1)
+
+
+def holder_sup(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float, weights) -> float:
+    """max_b weights_b |f_b|_{C^alpha} over a (B, M..) stack of real scalar
+    fields, bit for bit max(weights * besov_norms(stack, grid, alpha))."""
+    coeff_stack, weights = _real_stack(coeff_stack, grid), np.asarray(weights, float)
+    if coeff_stack.shape[1] != 1 or weights.shape != (len(coeff_stack),) \
+            or not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("need scalar fields and one finite weight >= 0 per field")
+    sups = _block_norms(coeff_stack, grid, alpha, weights)[..., 0]     # (B, L)
+    level = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))
+    return float(np.max(weights[:, None] * (level * sups)))

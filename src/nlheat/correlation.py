@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .besov import besov_norms
+from .besov import holder_sup
 from .field import (REAL_PRIMES, SpectralField, TorusGrid, analyze_values, fast_len,
                     synthesize_coeffs)
 from .sampling import VarianceProfile, sample_real_gfs, stream
@@ -285,23 +285,23 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
 
 def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
                            delta: float, beta: float, t_grid,
-                           remove_mean: bool = True) -> float:
+                           remove_mean: bool = True, decay=None) -> float:
     """sup over the grid of t^delta |pi_0(P_t X d_axis P_t Y)|_{C^beta}.
 
     With ``remove_mean`` False the zero mode is kept (only meaningful for
     independent pairs, or as a positive control for the resonant mean).
+    ``decay`` is exp(-t|k|^2) over t_grid and X's grid, if the caller has it.
     """
     grid = X.grid
     t_grid = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))   # (T, M..)
+    decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared)) if decay is None else decay
     xa = X.coeffs[0][None] * decay
     yb = (Y.derivative(axis).coeffs[0])[None] * decay
     prod = synthesize_coeffs(xa, grid) * synthesize_coeffs(yb, grid)
     coeffs = analyze_values(prod, grid)                          # (T, M..)
     if remove_mean:
         coeffs[grid.zero_mode_index] = 0.0
-    norms = besov_norms(coeffs, grid, beta)
-    return float(np.max(t_grid ** delta * norms))
+    return holder_sup(coeffs, grid, beta, t_grid ** delta)
 
 
 def trend_slope(radii, means) -> float:
@@ -355,10 +355,12 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, params: ParameterSet
     """Trend of sup_t t^delta |pi_0(P_t X d_1 P_t RX)|_{C^beta} across N, for
     the adversarial pair Y = RX, coupled as in ``_coupled_trend``."""
     t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
+    grid = TorusGrid(dim, 2 * max(int(N) for N in radii) + 1)   # _coupled_trend's
+    decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
     return _coupled_trend(
         profile_for_N, dim, params, trials, radii, master_seed,
-        lambda X, N: decorrelated_statistic(X, X.rotate(), 0, params.delta,
-                                            params.beta, t_grid, remove_mean))
+        lambda X, N: decorrelated_statistic(X, X.rotate(), 0, params.delta, params.beta,
+                                            t_grid, remove_mean, decay))
 
 
 def moment_experiment_Z(profile_for_N, dim: int, params: ParameterSet,

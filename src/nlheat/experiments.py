@@ -324,9 +324,8 @@ def run_inflation(cfg: ExperimentConfig) -> dict:
                "per_radius": {}}
     for radius in radii:
         rows = [r for r in records if r["radius"] == radius]
-        def med(arm, key):      # NaN, without a warning, when none completed
-            vals = [r[arm][key] for r in rows if r[arm]["status"] == "completed"]
-            return float(np.median(vals)) if vals else math.nan
+        def med(arm, key):      # NaN when none completed
+            return _median([r[arm][key] for r in rows if r[arm]["status"] == "completed"])
         entry = {
             "adversarial_median": med("adversarial", "zero_mode_sup"),
             "control_median": med("control", "zero_mode_sup"),
@@ -334,8 +333,7 @@ def run_inflation(cfg: ExperimentConfig) -> dict:
             "control_shift_median": med("control", "zero_mode_shift"),
             "remainder_median": med("adversarial", "remainder_sup"),
             "drift_final_median": med("adversarial", "drift_final"),
-            "distance_median": float(np.median(
-                [r["adversarial"]["u0_holder_eta"] for r in rows])),
+            "distance_median": _median([r["adversarial"]["u0_holder_eta"] for r in rows]),
             "blowups": sum(r["adversarial"]["status"] != "completed" for r in rows),
             "control_blowups": sum(r["control"]["status"] != "completed" for r in rows),
             "trials": len(rows),
@@ -367,6 +365,14 @@ def _column(summary: dict, key: str) -> list:
 
 def _increasing(values) -> bool:
     return all(b > a for a, b in zip(values, values[1:]))
+
+
+def _median(values) -> float:
+    """np.median's value without its numpy.ma import; NaN if a value is, or none."""
+    v, m = sorted(values), len(values) // 2
+    if not v or any(math.isnan(x) for x in v):
+        return math.nan
+    return float(v[m] if len(v) % 2 else (v[m - 1] + v[m]) / 2)
 
 
 def _spread(values) -> float:
@@ -415,8 +421,7 @@ def run_besov_convergence(cfg: ExperimentConfig) -> dict:
     tasks = [(cfg, t) for t in range(cfg.experiment["trials"])]
     records = _map_trials(_besov_trial, tasks, cfg.threads)
     radii = cfg.radii()
-    medians = {N: float(np.median([r["norms"][N] for r in records]))
-               for N in radii}
+    medians = {N: _median([r["norms"][N] for r in records]) for N in radii}
     vals = [medians[N] for N in radii]
     return {"kind": "besov", "radii": radii, "medians": medians,
             "decreasing": all(b < a for a, b in zip(vals, vals[1:])),

@@ -244,9 +244,10 @@ class SpectralField:
 def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Which fields of a (..., nc, M..) stack are real, shape (...,): a field
     is real when max |f_{-k} - conj(f_k)| over its components and modes is at
-    most REALITY_TOL (1 + max |f_k|), its own scale.  NaN fails the check."""
-    axes = tuple(range(-dim - 1, 0))
-    defect = np.abs(coeffs - np.conj(np.flip(coeffs, axis=axes[1:])))
+    most REALITY_TOL (1 + max |f_k|), its own scale.  NaN fails the check.  The
+    defect is even in k, so its max is taken over the k_d >= 0 half."""
+    axes, K = tuple(range(-dim - 1, 0)), coeffs.shape[-1] // 2
+    defect = np.abs(coeffs[..., K:] - np.conj(np.flip(coeffs[..., :K + 1], axes[1:])))
     scale = 1.0 + np.abs(coeffs).max(axis=axes, initial=0.0)
     return defect.max(axis=axes, initial=0.0) <= REALITY_TOL * scale
 

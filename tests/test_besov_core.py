@@ -10,6 +10,8 @@ their entry's weighted max; it synthesises equal blocks of a level once and
 the rest in chunks of blocks, so its norms must equal these bit for bit.
 ``ref_besov_norm`` weights and sums one field's reference sups on its own, and
 ``rule_blocks`` counts the blocks the skip rule leaves, from the references.
+``holder_sup`` skips against the max over its whole stack, so it must equal
+the weighted max of ``besov_norms`` bit for bit with fewer blocks than that.
 """
 
 import math
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 
 from nlheat import besov
-from nlheat.besov import DyadicPartition, _block_norms, _dense_points, besov_norms
+from nlheat.besov import (DyadicPartition, _block_norms, _dense_points, besov_norms,
+                          holder_sup)
 from nlheat.experiments import ExperimentConfig, _besov_trial
 from nlheat.field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -432,6 +435,97 @@ def test_radius_tails_share_their_high_blocks(monkeypatch, dim, modes):
     blocks = counting_synthesis(monkeypatch)
     besov_norms(stack, grid, -0.5, 4.0)
     assert len(blocks) == rule_blocks(stack, grid) < live_blocks(stack, grid)
+
+
+# -- holder_sup: the skip against the stack-wide max ---------------------------
+
+def scalar_stacks(grid, seed=0):
+    """(B, M..) and (B, 1, M..) stacks of scalar fields: heat-smoothed rows,
+    decorrelated products, radius tails, products with copies, zeros, and
+    products with an inf coefficient."""
+    prod = product_stack(grid, seed=seed)
+    bad = prod.copy()
+    bad[(4,) + (grid.half_band + 1,) * grid.dim] = np.inf
+    return {"heat": heat_stack(grid, seed=seed), "product": prod,
+            "tails": tail_stack(grid, seed=seed),
+            "copies": np.concatenate([prod, prod[::-1], prod[:3]]),
+            "zero": np.zeros_like(prod), "inf": bad}
+
+
+def time_weights(rows, delta=0.875):
+    """t^delta over the geometric t grid of ``product_stack``."""
+    return np.geomspace(1e-4, 1e-1, rows) ** delta
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+@pytest.mark.parametrize("kind", ["heat", "product", "tails", "copies", "zero", "inf"])
+def test_holder_sup_equals_the_weighted_max_of_besov_norms(dim, modes, kind):
+    grid = TorusGrid(dim, modes)
+    stack = scalar_stacks(grid, seed=dim)[kind]
+    entries = stack.reshape((len(stack), 1) + grid.mode_shape)
+    every = _block_norms(entries, grid)
+    for alpha in (-1.0, -0.5, 0.25):
+        for weights in (time_weights(len(stack)), np.arange(len(stack)) % 3 / 2.0):
+            want = np.max(weights * besov_norms(stack, grid, alpha))
+            got = holder_sup(stack, grid, alpha, weights)
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+            # a skipped block holds 0.0, and its weighted sup is below the max
+            pruned = _block_norms(entries, grid, alpha, weights)
+            gone = ~((pruned == every) | np.isnan(pruned) & np.isnan(every))
+            level = 2.0 ** (alpha * np.arange(-1, every.shape[1] - 1))[:, None]
+            assert np.all(pruned[gone] == 0.0)
+            assert np.all((weights[:, None, None] * (level * every))[gone] < got)
+    if kind == "zero":
+        assert got == 0.0
+    if kind == "inf":
+        assert math.isnan(got)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+def test_stack_wide_skip_lets_nan_through(dim, modes):
+    # a NaN coefficient fails the reality check of both functions; past it,
+    # the core's stack-wide max carries a NaN sup to the weighted max
+    grid = TorusGrid(dim, modes)
+    stack = product_stack(grid, seed=dim)
+    stack[(2,) + (grid.half_band + 1,) * grid.dim] = np.nan
+    weights = time_weights(len(stack))
+    for f in (besov_norms, lambda *a: holder_sup(*a, weights)):
+        with pytest.raises(ValueError, match="not real"):
+            f(stack, grid, -0.5)
+    sups = _block_norms(stack[:, None], grid, -0.5, weights)[..., 0]
+    assert np.isnan(sups[2]).any() and not np.isnan(np.delete(sups, 2, axis=0)).any()
+    assert np.isnan(np.max(weights[:, None] * sups))
+
+
+@pytest.mark.parametrize("dim, modes", PRUNE_GRIDS)
+def test_holder_sup_synthesises_fewer_blocks_than_the_per_entry_rule(monkeypatch,
+                                                                     dim, modes):
+    grid = TorusGrid(dim, modes)
+    stack = product_stack(grid, rows=13, seed=dim)
+    weights = time_weights(len(stack))
+    blocks = counting_synthesis(monkeypatch)
+    got = holder_sup(stack, grid, -0.5, weights)
+    stack_wide = len(blocks)
+    blocks.clear()
+    assert got == np.max(weights * besov_norms(stack, grid, -0.5))
+    assert 0 < stack_wide < len(blocks) == rule_blocks(stack, grid, -0.5)
+
+
+def test_holder_sup_rejects_bad_weights_and_vector_fields():
+    grid = TorusGrid(1, 33)
+    stack = product_stack(grid, rows=4)
+    for weights in ([1.0, -1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0],
+                    [np.nan, 1.0, 1.0, 1.0], [-0.0, 0.0, 1.0], np.ones((4, 1))):
+        with pytest.raises(ValueError, match="weight"):
+            holder_sup(stack, grid, -0.5, weights)
+    assert holder_sup(stack, grid, -0.5, [-0.0, 0.0, 0.0, 0.0]) == 0.0
+    vector = random_field(grid, components=2).coeffs
+    with pytest.raises(ValueError, match="scalar"):
+        holder_sup(vector[None], grid, -0.5, [1.0])
+    assert besov_norms(vector[None], grid, -0.5).shape == (1,)
 
 
 # -- chunking ------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlheat
+from nlheat.besov import besov_norms
 from nlheat.correlation import (ParameterSet, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
@@ -215,6 +216,26 @@ class TestStatistics:
         Y = SpectralField.constant(grid, [2.0])
         t_grid = geometric_grid(1.0, 1e-2, 10)
         assert decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid) == 0.0
+
+    @pytest.mark.parametrize("dim, modes", [(1, 65), (2, 17)])
+    def test_decorrelated_statistic_with_and_without_a_decay_table(self, dim, modes):
+        # the moment experiment passes one exp(-t|k|^2) table to every call;
+        # either way the value is the weighted max of the per-time norms
+        grid = TorusGrid(dim, modes)
+        prof = VarianceProfile.white(grid.half_band)
+        X = sample_real_gfs(prof, grid, stream(5, dim))
+        Y = X.rotate()
+        t_grid = geometric_grid(1.0, 1e-3, 10)
+        decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
+        got = decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid)
+        assert decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid,
+                                      decay=decay) == got
+        prod = pointwise_product(SpectralField(grid, X.coeffs[0] * decay),
+                                 SpectralField(grid, Y.derivative(0).coeffs[0] * decay))
+        coeffs = prod.coeffs
+        coeffs[grid.zero_mode_index] = 0.0
+        want = np.max(t_grid ** 0.875 * besov_norms(coeffs, grid, -0.5))
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_trend_slope_exact_powers(self):
         radii = [16, 32, 64]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from nlheat.field import (REAL_PRIMES, SpectralField, TorusGrid, analyze,
+from nlheat.field import (REALITY_TOL, REAL_PRIMES, SpectralField, TorusGrid, analyze,
                           analyze_values, dealias_points, fast_len,
-                          pointwise_product, synthesize_real)
+                          pointwise_product, real_fields, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from nlheat.solver import SolveConfig, solve
@@ -270,3 +270,28 @@ class TestProducts:
         lhs = pointwise_product(SpectralField(grid, 2.0 * f.coeffs), g).coeffs
         rhs = 2.0 * pointwise_product(f, g).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def full_cube_real(coeffs, dim):
+    """The reality verdict with the defect |f_{-k} - conj f_k| over every k."""
+    axes = tuple(range(-dim - 1, 0))
+    defect = np.abs(coeffs - np.conj(np.flip(coeffs, axis=axes[1:])))
+    scale = 1.0 + np.abs(coeffs).max(axis=axes, initial=0.0)
+    return defect.max(axis=axes, initial=0.0) <= REALITY_TOL * scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim, modes", [(1, 33), (2, 9), (3, 5)])
+def test_half_cube_reality_check_matches_the_full_cube(dim, modes):
+    grid = TorusGrid(dim, modes)
+    rng = np.random.default_rng(dim)
+    stack = np.stack([hermitian_field(grid, 2, seed=s).coeffs
+                      * 10.0 ** rng.integers(-3, 4) for s in range(60)])
+    # one coefficient per field moved off its conjugate, anywhere in the cube
+    for row, size in zip(stack[1:], [1e-13, 1e-11, 1e-9, np.nan, np.inf] * 12):
+        where = (int(rng.integers(2)),) + tuple(rng.integers(modes, size=dim))
+        row[where] += size * (1.0 + np.abs(row).max()) * (1.0 if rng.random() < 0.5
+                                                          else 1j)
+    got = real_fields(stack, dim)
+    assert np.array_equal(got, full_cube_real(stack, dim))
+    assert got[0] and 0 < got.sum() < len(got)
