@@ -121,6 +121,11 @@ def _dense_points(grid: TorusGrid) -> int:
     return fast_len(max(grid.points_per_axis, 4 * grid.modes_per_axis))
 
 
+def _level_weights(alpha: float, levels: int) -> np.ndarray:
+    """2^(alpha l) for the Littlewood-Paley levels l = -1, ..., levels - 2."""
+    return 2.0 ** (alpha * np.arange(-1, levels - 1))
+
+
 def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float | None = None,
                  weights: np.ndarray | None = None) -> np.ndarray:
     """Sampled sup|Delta_l f|, (B, L, nc), of a (B, nc, M..) real stack; ``alpha`` adds
@@ -131,7 +136,7 @@ def _block_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float | None =
     size = np.abs(flat).reshape(B * nc, -1)
     bound = size @ np.abs(mult).reshape(len(mult), -1).T        # (B nc, L)
     bound[~np.isfinite(size).all(axis=1)] = np.inf              # not inf * 0 = NaN
-    weight = 2.0 ** ((alpha or 0.0) * np.arange(-1, len(mult) - 1))
+    weight = _level_weights(alpha or 0.0, len(mult))
     w = np.ones(B * nc) if weights is None else np.repeat(weights, nc)
     top, out = np.zeros(B * nc), np.zeros((B * nc, len(mult)))  # running max, sups
     for l, (sub, pts) in enumerate(DyadicPartition().level_grids(grid)):
@@ -175,7 +180,7 @@ def besov_norms(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float,
         raise ValueError(f"q must be >= 1, got {q!r}")
     coeff_stack = _real_stack(coeff_stack, grid)
     sups = _block_norms(coeff_stack, grid, alpha if math.isinf(q) else None)
-    weighted = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))[:, None] * sups
+    weighted = _level_weights(alpha, sups.shape[1])[:, None] * sups
     per_comp = weighted.max(axis=1) if math.isinf(q) else \
         (weighted ** q).sum(axis=1) ** (1.0 / q)
     return per_comp.sum(axis=1)
@@ -189,5 +194,4 @@ def holder_sup(coeff_stack: np.ndarray, grid: TorusGrid, alpha: float, weights) 
             or not (np.isfinite(weights) & (weights >= 0)).all():
         raise ValueError("need scalar fields and one finite weight >= 0 per field")
     sups = _block_norms(coeff_stack, grid, alpha, weights)[..., 0]     # (B, L)
-    level = 2.0 ** (alpha * np.arange(-1, sups.shape[1] - 1))
-    return float(np.max(weights[:, None] * (level * sups)))
+    return float(np.max(weights[:, None] * (_level_weights(alpha, sups.shape[1]) * sups)))

@@ -304,6 +304,18 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     return holder_sup(coeffs, grid, beta, t_grid ** delta)
 
 
+def _quantile(values, q: float) -> float:
+    """np.quantile's linear value without its numpy.ma import; NaN if a value is."""
+    v = np.sort(values)
+    if np.isnan(v[-1]):             # NaN sorts last
+        return math.nan
+    h = (len(v) - 1) * q
+    lo = math.floor(h)
+    hi, g = min(lo + 1, len(v) - 1), h - lo
+    d = v[hi] - v[lo]
+    return float(v[hi] - d * (1 - g) if g >= 0.5 else v[lo] + d * g)
+
+
 def trend_slope(radii, means) -> float:
     """Slope of log(mean statistic) against log N."""
     return float(np.polyfit(np.log(np.asarray(radii, float)),
@@ -322,14 +334,16 @@ class TrendReport:
     def from_samples(cls, samples: dict) -> "TrendReport":
         radii = sorted(samples)
         means = {N: float(np.mean(samples[N])) for N in radii}
-        q90 = {N: float(np.quantile(samples[N], 0.9)) for N in radii}
+        q90 = {N: _quantile(samples[N], 0.9) for N in radii}
         slope = trend_slope(radii, [means[N] for N in radii])
         return cls(radii, samples, means, q90, slope)
 
 
 def _coupled_trend(profile_for_N, dim: int, params: ParameterSet, trials: int,
                    radii, master_seed: int, statistic) -> TrendReport:
-    """Per-trial ``statistic(X^N, N)`` for each cutoff N in ``radii``.
+    """Per-trial ``stat(X^N, N)`` for each cutoff N in ``radii``, where
+    ``stat = statistic(t_grid, grid)`` is built once from the moment time grid
+    (``MOMENT_T_MIN`` to 1) and the largest cutoff's grid, which X lives on.
 
     Per trial, one X is sampled at the largest cutoff and the smaller
     cutoffs are its band truncations X^N = Pi_N X, exactly as the finite
@@ -338,14 +352,13 @@ def _coupled_trend(profile_for_N, dim: int, params: ParameterSet, trials: int,
     """
     params.check_dim(dim)
     radii = sorted(int(N) for N in radii)
-    top = radii[-1]
-    grid = TorusGrid(dim, 2 * top + 1)
-    prof = profile_for_N(top)
+    grid, prof = TorusGrid(dim, 2 * radii[-1] + 1), profile_for_N(radii[-1])
+    stat = statistic(geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE), grid)
     samples = {N: np.empty(trials) for N in radii}
     for trial in range(trials):
         X = sample_real_gfs(prof, grid, stream(master_seed, trial, 0))
         for N in radii:
-            samples[N][trial] = statistic(X.project_band(N), N)
+            samples[N][trial] = stat(X.project_band(N), N)
     return TrendReport.from_samples(samples)
 
 
@@ -354,23 +367,22 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, params: ParameterSet
                                    remove_mean: bool = True) -> TrendReport:
     """Trend of sup_t t^delta |pi_0(P_t X d_1 P_t RX)|_{C^beta} across N, for
     the adversarial pair Y = RX, coupled as in ``_coupled_trend``."""
-    t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
-    grid = TorusGrid(dim, 2 * max(int(N) for N in radii) + 1)   # _coupled_trend's
-    decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
-    return _coupled_trend(
-        profile_for_N, dim, params, trials, radii, master_seed,
-        lambda X, N: decorrelated_statistic(X, X.rotate(), 0, params.delta, params.beta,
-                                            t_grid, remove_mean, decay))
+    def statistic(t_grid, grid):
+        decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
+        return lambda X, N: decorrelated_statistic(
+            X, X.rotate(), 0, params.delta, params.beta, t_grid, remove_mean, decay)
+    return _coupled_trend(profile_for_N, dim, params, trials, radii, master_seed,
+                          statistic)
 
 
 def moment_experiment_Z(profile_for_N, dim: int, params: ParameterSet,
                         trials: int, radii, master_seed: int) -> TrendReport:
     """Trend of sup_t t^delta (Z_t - E Z_t) across N (expected flat), coupled
     as in ``_coupled_trend``."""
-    t_grid = geometric_grid(1.0, MOMENT_T_MIN, MOMENT_PER_DECADE)
-    mean = {int(N): expected_Zt(profile_for_N(int(N)), dim, t_grid, radius=int(N))
-            for N in radii}
-    return _coupled_trend(
-        profile_for_N, dim, params, trials, radii, master_seed,
-        lambda X, N: float(np.max(t_grid ** params.delta
-                                  * (compute_Zt(X, t_grid) - mean[N]))))
+    def statistic(t_grid, grid):
+        mean = {N: expected_Zt(profile_for_N(N), dim, t_grid, radius=N)
+                for N in map(int, radii)}
+        return lambda X, N: float(np.max(t_grid ** params.delta
+                                         * (compute_Zt(X, t_grid) - mean[N])))
+    return _coupled_trend(profile_for_N, dim, params, trials, radii, master_seed,
+                          statistic)

@@ -23,8 +23,8 @@ from .correlation import (ParameterSet, drift_scalar, geometric_grid,
                           verify_EZt_bounds, verify_It_bounds)
 from .field import SpectralField, TorusGrid, dealias_points
 from .nonlinearity import NonlinearitySpec, asymmetry_witness, drift_direction, preset
-from .sampling import GfsSpec, VarianceProfile, build_adversarial_pair, \
-    sample_E_valued, sample_real_gfs, stream
+from .sampling import GfsSpec, VarianceProfile, rotated_copy, sample_E_valued, \
+    sample_real_gfs, stream
 from .solver import SolveConfig, remainder_norms, solve
 
 
@@ -213,16 +213,14 @@ def _trial_grid(cfg: ExperimentConfig, radius: int,
 def trial_data(cfg: ExperimentConfig, nl: NonlinearitySpec, radius: int,
                trial: int):
     """Grid, variance profile, X and the adversarial and control Y of one
-    (radius, trial): X on streams 0..nc-1, both Y arms on nc..2nc-1."""
+    (radius, trial): X on streams 0..nc-1 and the control Y on nc..2nc-1,
+    each drawn once; the adversarial Y is the control with Y^b := R X^a."""
     grid = _trial_grid(cfg, radius, nl)
     prof = cfg.profile_for(radius)
     spec, nc = GfsSpec.uniform(grid, prof, nl.dim_E), nl.dim_E
-
-    def streams(first):
-        return [stream(cfg.seed, trial, first + c) for c in range(nc)]
-
-    X, Y_adv = build_adversarial_pair(spec, *cfg.pair, streams(0), streams(nc))
-    return grid, prof, X, Y_adv, sample_E_valued(spec, streams(nc))
+    X, Y = (sample_E_valued(spec, [stream(cfg.seed, trial, first + c) for c in range(nc)])
+            for first in (0, nc))
+    return grid, prof, X, rotated_copy(X, Y, *cfg.pair), Y
 
 
 def _inflation_trial(args):
@@ -287,13 +285,10 @@ def _besov_trial(args):
 
 
 def _moment_trend(args):
-    """The decorrelated (``z`` False) or centred-Z moment trend of ``run_tables``."""
-    cfg, z, radii, trials = args
-    prof_for, params = cfg.profile_for, cfg.parameter_set()
-    if z:
-        return moment_experiment_Z(prof_for, cfg.dim, params, trials, radii, cfg.seed)
-    return moment_experiment_decorrelated(prof_for, cfg.dim, params, trials, radii,
-                                          cfg.seed)
+    """One moment trend of ``run_tables``: ``experiment`` on the config."""
+    experiment, cfg, radii, trials = args
+    return experiment(cfg.profile_for, cfg.dim, cfg.parameter_set(), trials, radii,
+                      cfg.seed)
 
 
 def _map_trials(worker, tasks, threads: int) -> list:
@@ -469,8 +464,8 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
                 for abp, d in it.integral_ratio.items()
                 for N, r in sorted(d.items())]
 
-    dec, zexp = _map_trials(_moment_trend, [(cfg, z, radii, exp["trials"])
-                                            for z in (False, True)], cfg.threads)
+    dec, zexp = _map_trials(_moment_trend, [(f, cfg, radii, exp["trials"]) for f in (
+        moment_experiment_decorrelated, moment_experiment_Z)], cfg.threads)
     mom_rows = [("decorrelated", N, dec.means[N], dec.q90[N]) for N in dec.radii]
     mom_rows += [("z_centred", N, zexp.means[N], zexp.q90[N]) for N in zexp.radii]
     mom_rows += [("decorrelated_slope", "", dec.slope, ""),

@@ -114,9 +114,9 @@ class TorusGrid:
         return out
 
     @cached_property
-    def derivative_multipliers(self) -> np.ndarray:
-        """i k_axis on the full cube for each axis, shape (dim, M, ..., M)."""
-        return 1j * np.array(np.meshgrid(*[self.wavenumbers] * self.dim, indexing="ij"))
+    def derivative_multipliers(self) -> tuple:
+        """i k_axis for each axis, shaped for broadcasting over the cube."""
+        return tuple(1j * self.axis_wavenumbers(axis) for axis in range(self.dim))
 
     @property
     def mode_shape(self) -> tuple[int, ...]:
@@ -180,8 +180,7 @@ class SpectralField:
 
     def reality_defect(self) -> float:
         """max |f_{-k} - conj(f_k)| over all components and modes."""
-        flipped = np.flip(self.coeffs, axis=tuple(range(1, self.coeffs.ndim)))
-        return float(np.max(np.abs(self.coeffs - np.conj(flipped))))
+        return float(_reality_defects(self.coeffs, self.grid.dim))
 
     def is_real(self) -> bool:
         return bool(real_fields(self.coeffs, self.grid.dim))
@@ -205,8 +204,8 @@ class SpectralField:
         """Partial derivative along ``axis`` (0-based): f_k -> i*k_axis*f_k."""
         if not 0 <= axis < self.grid.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.grid.dim}")
-        mult = 1j * self.grid.axis_wavenumbers(axis)
-        return SpectralField(self.grid, self.coeffs * mult)
+        ik = self.grid.derivative_multipliers[axis]
+        return SpectralField(self.grid, self.coeffs * ik)
 
     def project_band(self, radius: float) -> "SpectralField":
         """Zero all coefficients with Euclidean |k| > radius."""
@@ -241,15 +240,20 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs + other.coeffs)
 
 
-def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Which fields of a (..., nc, M..) stack are real, shape (...,): a field
-    is real when max |f_{-k} - conj(f_k)| over its components and modes is at
-    most REALITY_TOL (1 + max |f_k|), its own scale.  NaN fails the check.  The
-    defect is even in k, so its max is taken over the k_d >= 0 half."""
+def _reality_defects(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """max |f_{-k} - conj(f_k)| per field of a (..., nc, M..) stack, taken over
+    the k_d >= 0 half: |a - conj b| = |b - conj a| exactly, so it is even in k."""
     axes, K = tuple(range(-dim - 1, 0)), coeffs.shape[-1] // 2
     defect = np.abs(coeffs[..., K:] - np.conj(np.flip(coeffs[..., :K + 1], axes[1:])))
-    scale = 1.0 + np.abs(coeffs).max(axis=axes, initial=0.0)
-    return defect.max(axis=axes, initial=0.0) <= REALITY_TOL * scale
+    return defect.max(axis=axes, initial=0.0)
+
+
+def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Which fields of a (..., nc, M..) stack are real, shape (...,): a field
+    is real when its reality defect is at most REALITY_TOL (1 + max |f_k|), its
+    own scale.  NaN fails the check."""
+    scale = 1.0 + np.abs(coeffs).max(axis=tuple(range(-dim - 1, 0)), initial=0.0)
+    return _reality_defects(coeffs, dim) <= REALITY_TOL * scale
 
 
 # -- transforms ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from .besov import DyadicPartition
 from .correlation import compute_Zt, expected_Zt
 from .field import (SpectralField, TorusGrid, analyze, pointwise_product,
                     synthesize_real)
-from .sampling import VarianceProfile, sample_real_gfs, stream
+from .sampling import GfsSpec, VarianceProfile, sample_E_valued, stream
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,11 @@ class IdentityResult:
         return self.defect <= self.tol
 
 
-def _rand_field(grid: TorusGrid, seed: int, components: int = 1) -> SpectralField:
-    prof = VarianceProfile.white(grid.half_band)
-    parts = [sample_real_gfs(prof, grid, stream(seed, c))
-             for c in range(components)]
-    return SpectralField.from_components(parts)
-
-
 def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
     """All exact identities on random band-limited fields."""
     grid = TorusGrid(dim, 9)
-    f = _rand_field(grid, seed)
-    g = _rand_field(grid, seed + 1)
+    spec = GfsSpec.uniform(grid, VarianceProfile.white(grid.half_band), 1)
+    f, g = (sample_E_valued(spec, [stream(s, 0)]) for s in (seed, seed + 1))
     out = []
 
     def check(name, defect, tol=1e-12):
@@ -101,9 +94,7 @@ def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
           1e-10)
 
     # realised Z_t at t=0 equals the plain half-space weighted square sum
-    prof = VarianceProfile.white(grid.half_band)
-    X = sample_real_gfs(prof, grid, stream(seed, 3))
-    k1 = grid.axis_wavenumbers(0) * np.ones(grid.mode_shape)
+    X = sample_E_valued(spec, [stream(seed, 3)])
     direct = float(np.sum(2.0 * np.where(k1 > 0, k1, 0.0)
                           * np.abs(X.coeffs[0]) ** 2))
     check("Z_0 equals the lattice sum",
@@ -124,7 +115,7 @@ def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
         if n[0] > 0 and n2 <= K * K:
             direct += 2.0 * n[0] * math.exp(-2.0 * n2 * t)
     check("bucketed E Z_t vs direct sum",
-          abs(expected_Zt(prof, dim, t, radius=K) - direct) / (1.0 + direct),
+          abs(expected_Zt(spec.profile, dim, t, radius=K) - direct) / (1.0 + direct),
           1e-12)
 
     return out

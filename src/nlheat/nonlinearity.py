@@ -117,12 +117,8 @@ def asymmetry_witness(spec: NonlinearitySpec):
     Returns None when every B_i is symmetric, i.e. B is a total derivative.
     Exact tensor comparison, no tolerance.
     """
-    for i in range(spec.dim):
-        for a in range(spec.dim_E):
-            for b in range(spec.dim_E):
-                if a != b and np.any(spec.B[i, :, a, b] != spec.B[i, :, b, a]):
-                    return (i, a, b)
-    return None
+    found = np.argwhere(np.any(spec.B != spec.B.transpose(0, 1, 3, 2), axis=1))
+    return tuple(map(int, found[0])) if len(found) else None
 
 
 def check_pair(a: int, b: int, dim_E: int) -> None:

@@ -7,7 +7,7 @@ modes k in the lexicographic half-space the coefficient is (a + i*b)/sqrt(2)
 with a, b independent N(0, sigma^2(k)), the opposite half-space carries
 the conjugates, and the zero mode is a real N(0, sigma^2(0)).  The
 adversarial pair (X, Y) replaces one component of an independent copy by
-the phase rotation of a component of X.
+the phase rotation of a component of X; that copy itself is the control.
 """
 
 from __future__ import annotations
@@ -88,28 +88,24 @@ class VarianceProfile:
 
 @dataclass(frozen=True)
 class GfsSpec:
-    """Grid, component count, and per-component variance profiles."""
+    """Grid, variance profile and component count of an E-valued GFS: every
+    component is an independent real GFS with the one ``profile``."""
 
     grid: TorusGrid
-    profiles: tuple
+    profile: VarianceProfile
+    components: int
 
     def __post_init__(self):
-        if len(self.profiles) < 1:
-            raise ValueError("need at least one component profile")
-        K = self.grid.half_band
-        for p in self.profiles:
-            if p.cutoff > K + 1e-9:
-                raise ValueError(
-                    f"profile cutoff {p.cutoff} exceeds band radius {K}")
+        if self.components < 1:
+            raise ValueError("need at least one component")
+        if self.profile.cutoff > self.grid.half_band + 1e-9:
+            raise ValueError(f"profile cutoff {self.profile.cutoff} exceeds "
+                             f"band radius {self.grid.half_band}")
 
     @classmethod
     def uniform(cls, grid: TorusGrid, profile: VarianceProfile,
                 components: int) -> "GfsSpec":
-        return cls(grid, (profile,) * components)
-
-    @property
-    def components(self) -> int:
-        return len(self.profiles)
+        return cls(grid, profile, components)
 
 
 def half_space_mask(grid: TorusGrid) -> np.ndarray:
@@ -143,27 +139,24 @@ def sample_E_valued(spec: GfsSpec, rngs) -> SpectralField:
     """Independent real GFS per component; ``rngs`` has one stream each."""
     if len(rngs) != spec.components:
         raise ValueError("need one rng stream per component")
-    parts = [sample_real_gfs(p, spec.grid, rng)
-             for p, rng in zip(spec.profiles, rngs)]
-    return SpectralField.from_components(parts)
+    return SpectralField.from_components(
+        [sample_real_gfs(spec.profile, spec.grid, rng) for rng in rngs])
+
+
+def rotated_copy(X: SpectralField, Y: SpectralField, a: int, b: int) -> SpectralField:
+    """Y with its component b replaced by R X^a, the phase rotation of X^a."""
+    check_pair(a, b, Y.components)
+    coeffs = Y.coeffs.copy()
+    coeffs[b] = X.component(a).rotate().coeffs[0]
+    return SpectralField(Y.grid, coeffs)
 
 
 def build_adversarial_pair(spec: GfsSpec, a: int, b: int, x_rngs, y_rngs):
-    """The pair (X, Y) with Y^b the phase rotation of X^a.
-
-    All other Y components are fresh independent draws with the matching
-    component law, so Y equals X in law.  ``y_rngs[b]`` is ignored.
-    """
-    nc = spec.components
-    check_pair(a, b, nc)
+    """The pair (X, Y) with Y^b the phase rotation of X^a: X and an independent
+    copy are drawn whole, one stream per component, and ``rotated_copy`` sets
+    the copy's Y^b := R X^a, overwriting the draw of ``y_rngs[b]``."""
     X = sample_E_valued(spec, x_rngs)
-    y_parts = []
-    for c in range(nc):
-        if c == b:
-            y_parts.append(X.component(a).rotate())
-        else:
-            y_parts.append(sample_real_gfs(spec.profiles[c], spec.grid, y_rngs[c]))
-    return X, SpectralField.from_components(y_parts)
+    return X, rotated_copy(X, sample_E_valued(spec, y_rngs), a, b)
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

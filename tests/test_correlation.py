@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 import nlheat
 from nlheat.besov import besov_norms
-from nlheat.correlation import (ParameterSet, compute_Zt,
+from nlheat.correlation import (ParameterSet, _quantile, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
@@ -236,6 +236,20 @@ class TestStatistics:
         coeffs[grid.zero_mode_index] = 0.0
         want = np.max(t_grid ** 0.875 * besov_norms(coeffs, grid, -0.5))
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_quantile_matches_numpy(self):
+        rng = np.random.default_rng(4)
+        for n in list(range(1, 80)) * 40:
+            vals = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.3:
+                vals = np.round(vals)                    # ties
+            for bad in (np.nan, np.inf, -np.inf):
+                vals[rng.random(n) < 0.03] = bad
+            q = float(rng.choice([0.1, 0.5, 0.9, 0.99, rng.random()]))
+            got = _quantile(vals, q)
+            assert type(got) is float
+            assert np.array_equal(got, np.quantile(vals, q), equal_nan=True), (vals, q)
 
     def test_trend_slope_exact_powers(self):
         radii = [16, 32, 64]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nlheat import cli, experiments
+from nlheat import cli, experiments, sampling
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
                                 _inflation_trial, _trial_grid, run_inflation,
@@ -415,6 +415,28 @@ class TestInflation:
         assert np.array_equal(X1.coeffs, X2.coeffs)
         assert rec["x_checksum"] > 0
 
+    @pytest.mark.parametrize("extra", [{}, {
+        "grid": {"dim": 2}, "profile": {"kind": "power"},
+        "nonlinearity": {"preset": "dym", "algebra": "so3"}}])
+    def test_trial_data_draws_each_stream_once(self, monkeypatch, extra):
+        # the reference: one draw per stream, X on (trial, c) and the control
+        # Y on (trial, nc + c); the adversarial Y is the control with Y^b = R X^a
+        cfg, trial, calls = ExperimentConfig.from_dict(tiny_doc(**extra)), 2, []
+        nl, (a, b) = cfg.nonlinearity_spec(), cfg.pair
+        monkeypatch.setattr(sampling, "sample_real_gfs",
+                            lambda *args: calls.append(args) or sample_real_gfs(*args))
+        grid, prof, X, Y_adv, Y_ctl = experiments.trial_data(cfg, nl, 4, trial)
+        nc = nl.dim_E
+        assert len(calls) == 2 * nc
+        draws = np.concatenate([sample_real_gfs(prof, grid, stream(cfg.seed, trial, s))
+                                .coeffs for s in range(2 * nc)])
+        assert np.array_equal(X.coeffs, draws[:nc])
+        assert np.array_equal(Y_ctl.coeffs, draws[nc:])
+        others = [c for c in range(nc) if c != b]
+        assert np.array_equal(Y_adv.coeffs[others], Y_ctl.coeffs[others])
+        assert np.array_equal(Y_adv.coeffs[b], X.component(a).rotate().coeffs[0])
+        assert not np.array_equal(Y_adv.coeffs[b], Y_ctl.coeffs[b])
+
     def test_missing_witness_rejected(self, monkeypatch):
         # no preset is symmetric, so fake one to exercise the load check
         from nlheat.nonlinearity import NonlinearitySpec
@@ -685,6 +707,18 @@ class TestTables:
             "experiment": {"radii": [8, 16], "trials": 4,
                            "t_min": 1e-3, "t_max": 1e-1},
         }
+
+    def test_tables_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.quantile imports numpy.ma on first use, 8-16 ms in a fresh process
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        doc = {**self.base_doc(), "out": str(tmp_path)}
+        code = ("import json, sys; from nlheat.experiments import ExperimentConfig, "
+                f"run_tables; run_tables(ExperimentConfig.from_dict(json.loads("
+                f"{json.dumps(json.dumps(doc))}))); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
     def test_deterministic_output(self, tmp_path):
         cfg = ExperimentConfig.from_dict(self.base_doc())

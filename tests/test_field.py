@@ -272,12 +272,16 @@ class TestProducts:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def full_cube_real(coeffs, dim):
-    """The reality verdict with the defect |f_{-k} - conj f_k| over every k."""
+def full_cube_defect(coeffs, dim):
+    """Each field's max |f_{-k} - conj f_k| over every k, not half the cube."""
     axes = tuple(range(-dim - 1, 0))
-    defect = np.abs(coeffs - np.conj(np.flip(coeffs, axis=axes[1:])))
-    scale = 1.0 + np.abs(coeffs).max(axis=axes, initial=0.0)
-    return defect.max(axis=axes, initial=0.0) <= REALITY_TOL * scale
+    return np.abs(coeffs - np.conj(np.flip(coeffs, axis=axes[1:]))).max(axis=axes)
+
+
+def full_cube_real(coeffs, dim):
+    """The reality verdict with the full-cube defect."""
+    scale = 1.0 + np.abs(coeffs).max(axis=tuple(range(-dim - 1, 0)), initial=0.0)
+    return full_cube_defect(coeffs, dim) <= REALITY_TOL * scale
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -295,3 +299,6 @@ def test_half_cube_reality_check_matches_the_full_cube(dim, modes):
     got = real_fields(stack, dim)
     assert np.array_equal(got, full_cube_real(stack, dim))
     assert got[0] and 0 < got.sum() < len(got)
+    defects = [SpectralField(grid, row).reality_defect() for row in stack]
+    assert np.array_equal(defects, full_cube_defect(stack, dim), equal_nan=True)
+    assert np.isnan(defects).any() and np.isinf(defects).any()

@@ -49,6 +49,26 @@ class TestWitness:
         spec = NonlinearitySpec.from_parts(1, 2, B=B)
         assert asymmetry_witness(spec) is None
 
+    def test_witness_is_the_first_asymmetric_triple_in_loop_order(self):
+        def loop(B):        # the reference: a triple loop over (i, a, b)
+            for i in range(B.shape[0]):
+                for a in range(B.shape[2]):
+                    for b in range(B.shape[2]):
+                        if a != b and np.any(B[i, :, a, b] != B[i, :, b, a]):
+                            return (i, a, b)
+            return None
+        rng, found = np.random.default_rng(23), []
+        for _ in range(300):
+            dim, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            shape, density = (dim, n, n, n), rng.choice([0.01, 0.05, 0.2])
+            B = np.where(rng.random(shape) < density, rng.integers(-2, 3, shape), 0.0)
+            if rng.random() < 0.3:
+                B = B + B.transpose(0, 1, 3, 2)             # symmetric in (a, b)
+            got = asymmetry_witness(NonlinearitySpec.from_parts(dim, n, B=B))
+            assert got == loop(B) and all(type(x) is int for x in got or ())
+            found.append(got)
+        assert found.count(None) > 50 and len(set(found)) > 10
+
     def test_dym_witness_every_axis(self):
         spec = preset_dym(3)
         for i in range(3):

@@ -174,6 +174,14 @@ class TestPairs:
         assert np.array_equal(Y.coeffs[1], X.component(0).rotate().coeffs[0])
         assert not np.array_equal(Y.coeffs[0], X.coeffs[0])
         assert Y.is_real()
+        # the other components are their own streams' draws, and y_rngs[b] is
+        # drawn from too (its draw overwritten)
+        def draw(key):
+            return sample_real_gfs(spec.profile, spec.grid, stream(9, 0, key)).coeffs[0]
+        assert np.array_equal(X.coeffs, [draw(0), draw(1)])
+        assert np.array_equal(Y.coeffs[0], draw(2))
+        assert not np.array_equal(ys[1].standard_normal(3),
+                                  stream(9, 0, 3).standard_normal(3))
 
     def test_adversarial_same_component_rejected(self):
         spec = self.make_spec()
