@@ -45,21 +45,13 @@ BATCH_BYTES = 512 * 2 ** 10
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for x <= 1, 0 for x >= 2, monotone between."""
+    """C-infinity step: 1 for x <= 1, 0 for x >= 2 (and NaN), monotone between,
+    where one of exp(-1/(2 - x)), exp(-1/(x - 1)) is >= e^-2, so no 0/0."""
     x = np.asarray(x, dtype=float)
-
-    def phi(y):
-        out = np.zeros_like(y)
-        pos = y > 0
-        out[pos] = np.exp(-1.0 / y[pos])
-        return out
-
-    num = phi(2.0 - x)
-    den = num + phi(x - 1.0)
-    with np.errstate(invalid="ignore"):
-        out = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    out[x <= 1.0] = 1.0
-    out[x >= 2.0] = 0.0
+    out = np.where(x <= 1.0, 1.0, 0.0)
+    mid = (x > 1.0) & (x < 2.0)
+    num = np.exp(-1.0 / (2.0 - x[mid]))
+    out[mid] = num / (num + np.exp(-1.0 / (x[mid] - 1.0)))
     return out
 
 

@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:      # ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

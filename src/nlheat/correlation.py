@@ -177,6 +177,20 @@ def _spread(values) -> float:
     return max(vals) / min(vals)
 
 
+def _envelope_report(radii, envelopes) -> BoundReport:
+    """Per radius N, with (v, upper, adm, lower) = envelopes(N): the max over the
+    t grid of v / upper, the min over the admissible t (a mask or indices) of
+    v[adm] / lower (None if no t is), and the spreads of both across N."""
+    upper, lower = {}, {}
+    for N in radii:
+        v, up, adm, low = envelopes(N)
+        upper[N] = float(np.max(v / up))
+        ratios = v[adm] / low
+        lower[N] = float(np.min(ratios)) if ratios.size else None
+    return BoundReport(list(radii), upper, lower, _spread(upper.values()),
+                       _spread(lower.values()))
+
+
 def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
                       log_corrected: bool = True) -> BoundReport:
     """Envelope check for E Z_t.
@@ -186,28 +200,20 @@ def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
     away from zero on the admissible region t > N^{-2}.  For a pure power
     profile the lower envelope is just t^{-1}.  Passes on ``SPREAD_MAX``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    upper, lower = {}, {}
-    for N in radii:
-        prof = profile_for_N(N)
-        ez = expected_Zt(prof, dim, t_grid, radius=N)
-        env_up = np.minimum(float(N) ** 2, 1.0 / t_grid)
-        upper[N] = float(np.max(ez / env_up))
-        adm = t_grid > 1.0 / N ** 2
-        if np.any(adm):
-            ta = t_grid[adm]
-            if log_corrected:
-                env_low = 1.0 / (ta * np.abs(np.log(ta))
-                                 * np.log(np.abs(np.log(ta))))
-            else:
-                env_low = 1.0 / ta
-            lower[N] = float(np.min(ez[adm] / env_low))
-        else:
-            lower[N] = None
-    us, ls = _spread(upper.values()), _spread(lower.values())
-    passed = us <= SPREAD_MAX and ls <= SPREAD_MAX \
-        and all(v is None or v > 0 for v in lower.values())
-    return BoundReport(list(radii), upper, lower, us, ls, passed)
+    t = np.asarray(t_grid, dtype=float)
+
+    def envelopes(N):
+        adm = t > 1.0 / N ** 2
+        ta = t[adm]
+        low = 1.0 / (ta * np.abs(np.log(ta)) * np.log(np.abs(np.log(ta)))) \
+            if log_corrected else 1.0 / ta
+        return (expected_Zt(profile_for_N(N), dim, t, N),
+                np.minimum(float(N) ** 2, 1.0 / t), adm, low)
+
+    rep = _envelope_report(radii, envelopes)
+    rep.passed = rep.upper_spread <= SPREAD_MAX and rep.lower_spread <= SPREAD_MAX \
+        and all(v is None or v > 0 for v in rep.lower_ratio.values())
+    return rep
 
 
 def graded_quadrature_nodes(t: float, n: int = 1000):
@@ -245,40 +251,28 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
     t^{a+b+1} (log N)^p at t = max(t_grid) for each ``INTEGRAL_EXPONENTS``
     (a, b, p).  Passes on ``SPREAD_MAX`` and ``INTEGRAL_SPREAD_MAX``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    mag_dir = np.linalg.norm(direction)
-    upper, lower = {}, {}
-    integral_ratio = {abp: {} for abp in INTEGRAL_EXPONENTS}
-    for N in radii:
-        prof = profile_for_N(N)
-        mag = np.abs(drift_scalar(prof, dim, t_grid, radius=N)) * mag_dir
-        x = float(N) ** 2 * t_grid
-        env_up = np.minimum(x, 1.0) + np.log(np.maximum(x, 1.0))
-        upper[N] = float(np.max(mag / env_up))
-        adm = (t_grid > 1.0 / N ** 2) & (t_grid < 1.0)
-        lll = math.log(math.log(math.log(N))) if math.log(math.log(N)) > 1 else None
-        low_vals = []
-        for idx in np.flatnonzero(adm):
-            inner = math.log(math.log(1.0 / t_grid[idx]))
-            if lll is None or inner <= 1.0:
-                continue
-            env = lll - math.log(inner)
-            if env > 0.05:
-                low_vals.append(mag[idx] / env)
-        lower[N] = min(low_vals) if low_vals else None
-        t_top = float(t_grid.max())
-        for (a, b, p) in INTEGRAL_EXPONENTS:
-            val = weighted_drift_integral(prof, dim, N, direction, t_top,
-                                          a, b, p)
-            integral_ratio[(a, b, p)][N] = \
-                val / (t_top ** (a + b + 1.0) * math.log(N) ** p)
-    us = _spread(upper.values())
-    ls = _spread(lower.values())
-    int_ok = all(_spread(d.values()) <= INTEGRAL_SPREAD_MAX
-                 for d in integral_ratio.values())
-    passed = us <= SPREAD_MAX and int_ok
-    return BoundReport(list(radii), upper, lower, us, ls, passed, integral_ratio)
+    t, direction = np.asarray(t_grid, dtype=float), np.asarray(direction, dtype=float)
+
+    def envelopes(N):       # the lower one by math.log per t, where it exceeds 0.05
+        lll = math.log(math.log(math.log(N))) if math.log(math.log(N)) > 1 else -math.inf
+        adm, low, x = [], [], float(N) ** 2 * t
+        for i in np.flatnonzero((t > 1.0 / N ** 2) & (t < 1.0)):
+            inner = math.log(math.log(1.0 / t[i]))
+            if inner > 1.0 and (env := lll - math.log(inner)) > 0.05:
+                adm.append(i)
+                low.append(env)
+        mag = np.abs(drift_scalar(profile_for_N(N), dim, t, N)) * np.linalg.norm(direction)
+        return mag, np.minimum(x, 1.0) + np.log(np.maximum(x, 1.0)), adm, low
+
+    rep = _envelope_report(radii, envelopes)
+    t_top = float(t.max())
+    rep.integral_ratio = {(a, b, p): {N: weighted_drift_integral(
+        profile_for_N(N), dim, N, direction, t_top, a, b, p)
+        / (t_top ** (a + b + 1.0) * math.log(N) ** p) for N in radii}
+        for (a, b, p) in INTEGRAL_EXPONENTS}
+    rep.passed = rep.upper_spread <= SPREAD_MAX and all(
+        _spread(d.values()) <= INTEGRAL_SPREAD_MAX for d in rep.integral_ratio.values())
+    return rep
 
 
 # -- moment experiments --------------------------------------------------------

@@ -242,10 +242,12 @@ class SpectralField:
 
 def _reality_defects(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """max |f_{-k} - conj(f_k)| per field of a (..., nc, M..) stack, taken over
-    the k_d >= 0 half: |a - conj b| = |b - conj a| exactly, so it is even in k."""
-    axes, K = tuple(range(-dim - 1, 0)), coeffs.shape[-1] // 2
-    defect = np.abs(coeffs[..., K:] - np.conj(np.flip(coeffs[..., :K + 1], axes[1:])))
-    return defect.max(axis=axes, initial=0.0)
+    the flat half from the centre (-k is the reversed flat index): |a - conj b|
+    = |b - conj a| exactly, so it is even in k."""
+    c = math.prod(coeffs.shape[-dim:]) // 2
+    flat = coeffs.reshape(coeffs.shape[:-dim] + (2 * c + 1,))
+    defect = np.abs(flat[..., c:] - np.conj(flat[..., c::-1]))
+    return defect.max(axis=(-2, -1), initial=0.0)
 
 
 def real_fields(coeffs: np.ndarray, dim: int) -> np.ndarray:

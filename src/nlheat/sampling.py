@@ -108,17 +108,6 @@ class GfsSpec:
         return cls(grid, profile, components)
 
 
-def half_space_mask(grid: TorusGrid) -> np.ndarray:
-    """Lexicographic half-space: first nonzero coordinate positive."""
-    mask = np.zeros(grid.mode_shape, dtype=bool)
-    prior_zero = np.ones(grid.mode_shape, dtype=bool)
-    for axis in range(grid.dim):
-        k = grid.axis_wavenumbers(axis)
-        mask |= prior_zero & (k > 0)
-        prior_zero = prior_zero & (k == 0)
-    return mask
-
-
 def sample_real_gfs(profile: VarianceProfile, grid: TorusGrid,
                     rng: np.random.Generator) -> SpectralField:
     """Draw one real scalar GFS with the given variance profile."""
@@ -127,11 +116,11 @@ def sample_real_gfs(profile: VarianceProfile, grid: TorusGrid,
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
     coeffs = sigma * (a + 1j * b) / np.sqrt(2.0)
-    centre = (grid.half_band,) * grid.dim
-    mask = half_space_mask(grid)
-    flipped = np.conj(np.flip(coeffs))
-    coeffs = np.where(mask, coeffs, flipped)
-    coeffs[centre] = sigma[centre] * a[centre]
+    # in the -K..K order -k sits at the reversed flat index, and the flat
+    # indices past the centre are the lexicographic half-space
+    flat, c = coeffs.reshape(-1), coeffs.size // 2
+    flat[:c] = np.conj(flat[:c:-1])
+    flat[c] = sigma.flat[c] * a.flat[c]
     return SpectralField(grid, coeffs[None])
 
 

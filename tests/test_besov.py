@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlheat.besov import DyadicPartition, _block_norms, besov_norms
+from nlheat.besov import DyadicPartition, _block_norms, _smooth_step, besov_norms
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
@@ -15,6 +15,39 @@ from test_besov_core import ref_block_sups
 def random_field(grid, seed=0):
     prof = VarianceProfile.white(grid.half_band)
     return sample_real_gfs(prof, grid, stream(seed, 0))
+
+
+def guarded_smooth_step(x):
+    """The smooth step as phi(2 - x) / (phi(2 - x) + phi(x - 1)) on the whole
+    line, phi(y) = exp(-1/y) for y > 0 and 0 else, with a 0/0 guard and the two
+    ends overwritten."""
+    x = np.asarray(x, dtype=float)
+
+    def phi(y):
+        out = np.zeros_like(y)
+        pos = y > 0
+        out[pos] = np.exp(-1.0 / y[pos])
+        return out
+
+    num = phi(2.0 - x)
+    den = num + phi(x - 1.0)
+    with np.errstate(invalid="ignore"):
+        out = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    out[x <= 1.0] = 1.0
+    out[x >= 2.0] = 0.0
+    return out
+
+
+def test_smooth_step_matches_the_guarded_formula_bit_for_bit():
+    # a dense grid through 1 and 2, the 50 floats on each side of either end
+    # (adjacent positive floats have adjacent bit patterns), +-inf and NaN
+    ends = np.array([1.0, 2.0]).view(np.int64)[:, None] + np.arange(-50, 51)
+    x = np.concatenate([np.linspace(-1.0, 4.0, 200_001), ends.view(float).ravel(),
+                        [-np.inf, np.inf, np.nan, 0.0, -0.0, 1e-300, 1.5]])
+    got = _smooth_step(x)
+    assert got.tobytes() == guarded_smooth_step(x).tobytes()
+    assert not np.isnan(got).any()
+    assert _smooth_step(np.nan) == 0.0 and _smooth_step(1.0) == 1.0
 
 
 class TestPartition:

@@ -14,11 +14,13 @@ from scipy.integrate import quad
 
 import nlheat
 from nlheat.besov import besov_norms
-from nlheat.correlation import (ParameterSet, _quantile, compute_Zt,
+from nlheat.correlation import (INTEGRAL_EXPONENTS, SPREAD_MAX, INTEGRAL_SPREAD_MAX,
+                                ParameterSet, _quantile, _spread, compute_Zt,
                                 decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
-                                trend_slope, weighted_drift_integral)
+                                trend_slope, verify_EZt_bounds, verify_It_bounds,
+                                weighted_drift_integral)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from spec_helpers import Z_variance
@@ -187,6 +189,77 @@ class TestQuadrature:
         prof = VarianceProfile.white(4)
         with pytest.raises(ValueError):
             weighted_drift_integral(prof, 1, 4, np.ones(1), 0.1, -1.5, 0.0, 1.0)
+
+
+def reference_ez_report(profile_for_N, dim, radii, t_grid, log_corrected):
+    """verify_EZt_bounds' (upper, lower, passed), one radius at a time."""
+    upper, lower = {}, {}
+    for N in radii:
+        ez = expected_Zt(profile_for_N(N), dim, t_grid, radius=N)
+        upper[N] = float(np.max(ez / np.minimum(float(N) ** 2, 1.0 / t_grid)))
+        adm = t_grid > 1.0 / N ** 2
+        lower[N] = None
+        if np.any(adm):
+            ta = t_grid[adm]
+            env_low = 1.0 / (ta * np.abs(np.log(ta)) * np.log(np.abs(np.log(ta)))) \
+                if log_corrected else 1.0 / ta
+            lower[N] = float(np.min(ez[adm] / env_low))
+    passed = _spread(upper.values()) <= SPREAD_MAX \
+        and _spread(lower.values()) <= SPREAD_MAX \
+        and all(v is None or v > 0 for v in lower.values())
+    return upper, lower, passed
+
+
+def reference_it_report(profile_for_N, dim, direction, radii, t_grid):
+    """verify_It_bounds' (upper, lower, integral ratios, passed), one radius
+    and one t at a time."""
+    upper, lower, integral = {}, {}, {abp: {} for abp in INTEGRAL_EXPONENTS}
+    for N in radii:
+        prof = profile_for_N(N)
+        mag = np.abs(drift_scalar(prof, dim, t_grid, radius=N)) * np.linalg.norm(direction)
+        x = float(N) ** 2 * t_grid
+        upper[N] = float(np.max(mag / (np.minimum(x, 1.0) + np.log(np.maximum(x, 1.0)))))
+        low_vals = []
+        if math.log(math.log(N)) > 1:
+            lll = math.log(math.log(math.log(N)))
+            for i in np.flatnonzero((t_grid > 1.0 / N ** 2) & (t_grid < 1.0)):
+                inner = math.log(math.log(1.0 / t_grid[i]))
+                if inner > 1.0 and lll - math.log(inner) > 0.05:
+                    low_vals.append(mag[i] / (lll - math.log(inner)))
+        lower[N] = min(low_vals) if low_vals else None
+        t_top = float(t_grid.max())
+        for a, b, p in INTEGRAL_EXPONENTS:
+            integral[(a, b, p)][N] = weighted_drift_integral(
+                prof, dim, N, direction, t_top, a, b, p) \
+                / (t_top ** (a + b + 1.0) * math.log(N) ** p)
+    passed = _spread(upper.values()) <= SPREAD_MAX and all(
+        _spread(d.values()) <= INTEGRAL_SPREAD_MAX for d in integral.values())
+    return upper, lower, integral, passed
+
+
+@pytest.mark.parametrize("dim, kind, radii, t_max", [
+    (1, "white", [2, 4, 8, 32, 64], 1e-1), (1, "powerlog", [16, 32, 64], 3.0),
+    (2, "powerlog", [2, 8, 16], 1e-1), (3, "power", [4, 8], 0.5)])
+def test_envelope_reports_match_the_per_radius_formulas_bit_for_bit(dim, kind, radii,
+                                                                     t_max):
+    t_grid = geometric_grid(t_max, 1e-4, 40)
+
+    def profile_for(N):
+        return VarianceProfile.of_kind(kind, dim, N)
+
+    for log_corrected in (False, True):
+        rep = verify_EZt_bounds(profile_for, dim, radii, t_grid, log_corrected)
+        upper, lower, passed = reference_ez_report(profile_for, dim, radii, t_grid,
+                                                   log_corrected)
+        assert (rep.upper_ratio, rep.lower_ratio, rep.passed) == (upper, lower, passed)
+        assert list(rep.rows()) == [(N, upper[N], lower[N]) for N in radii]
+    direction = np.array([0.0, 2.0, -1.0])
+    rep = verify_It_bounds(profile_for, dim, direction, radii, t_grid)
+    upper, lower, integral, passed = reference_it_report(profile_for, dim, direction,
+                                                         radii, t_grid)
+    assert (rep.upper_ratio, rep.lower_ratio, rep.integral_ratio, rep.passed) == \
+        (upper, lower, integral, passed)
+    assert 2 not in radii or lower[2] is None       # no admissible t at N = 2
 
 
 class TestStatistics:

@@ -227,9 +227,11 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("solver", None, None), ("experiment", None, [1, 2]),
         ("experiment", "radii", 8), ("seed", None, None),
-        ("experiment", "trials", None), ("profile", None, "white")],
+        ("experiment", "trials", None), ("profile", None, "white"),
+        ("seed", None, True), ("threads", None, 2.5), ("experiment", "radii", "48")],
         ids=["solver-empty", "experiment-list", "radii-int", "seed-empty",
-             "trials-empty", "profile-word"])
+             "trials-empty", "profile-word", "seed-bool", "threads-non-integral",
+             "radii-str"])
     def test_malformed_values_are_usage_errors_that_name_the_key(
             self, tmp_path, capsys, section, key, value):
         doc = tiny_doc()
@@ -258,19 +260,34 @@ class TestConfig:
         ("inflate", "solver", "blowup_threshold", 0),
         ("inflate", "solver", "snapshots", -1),
         ("tables", "experiment", "t_min", 0),
-        ("tables", "experiment", "t_max", 1e-5)],
+        ("tables", "experiment", "t_max", 1e-5),
+        ("inflate", "experiment", "radii", [8.5, 16]),
+        ("inflate", "experiment", "trials", 2.7),
+        ("inflate", "experiment", "trials", True),
+        ("inflate", "experiment", "epsilon", math.nan),
+        ("inflate", "experiment", "epsilon", math.inf),
+        ("inflate", "experiment", "log_exponent", math.nan),
+        ("tables", "experiment", "t_max", math.inf),
+        ("inflate", "solver", "tol", math.inf),
+        ("inflate", "profile", "gamma", math.nan),
+        ("besov", "profile", "gamma", -math.inf)],
         ids=["radius-1", "radius-0", "trials-0", "step-factor-0",
              "step-factor-negative", "radius-at-reference", "q-below-1",
              "tol-0", "tol-negative", "blowup-threshold-0", "snapshots-negative",
-             "t-min-0", "t-max-below-t-min"])
+             "t-min-0", "t-max-below-t-min", "radius-non-integral",
+             "trials-non-integral", "trials-bool", "epsilon-nan", "epsilon-inf",
+             "log-exponent-nan", "t-max-inf", "tol-inf", "gamma-nan", "gamma-inf"])
     def test_out_of_range_values_are_usage_errors_that_name_the_key(
             self, tmp_path, capsys, kind, section, key, value):
         doc = tiny_doc(kind=kind)
         doc.setdefault(section, {})[key] = value
+        if section == "profile":
+            doc["profile"]["kind"] = "power"
         p = tmp_path / "c.yaml"
         p.write_text(yaml.safe_dump(doc))
         assert main([kind, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("seed", -1), ("threads", 0),
@@ -830,6 +847,28 @@ class TestCli:
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["inflate"]) == 2
+
+    @pytest.mark.parametrize("content", ["kind: inflate\nseed: [1\n", None,
+                                         "kind: inflate\n\tseed: 1\n"],
+                             ids=["yaml-syntax", "directory", "yaml-tab"])
+    def test_unreadable_config_is_usage_error_naming_the_file(
+            self, tmp_path, capsys, content):
+        p = tmp_path / "c.yaml"
+        if content is None:
+            p.mkdir()
+        else:
+            p.write_text(content)
+        with pytest.raises(ConfigError, match="c.yaml"):
+            ExperimentConfig.from_yaml(p)
+        assert main(["inflate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_absent_config_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "absent.yaml"
+        assert main(["inflate", "--config", str(p)]) == 2
+        assert str(p) in capsys.readouterr().err
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"

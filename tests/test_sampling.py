@@ -5,8 +5,35 @@ import pytest
 
 from nlheat.field import TorusGrid
 from nlheat.sampling import (PROFILES, GfsSpec, VarianceProfile,
-                             build_adversarial_pair, half_space_mask,
-                             sample_E_valued, sample_real_gfs, stream)
+                             build_adversarial_pair, sample_E_valued,
+                             sample_real_gfs, stream)
+
+
+def half_space_mask(grid: TorusGrid) -> np.ndarray:
+    """Lexicographic half-space: first nonzero coordinate positive."""
+    mask = np.zeros(grid.mode_shape, dtype=bool)
+    prior_zero = np.ones(grid.mode_shape, dtype=bool)
+    for axis in range(grid.dim):
+        k = grid.axis_wavenumbers(axis)
+        mask |= prior_zero & (k > 0)
+        prior_zero = prior_zero & (k == 0)
+    return mask
+
+
+def reference_sample(profile: VarianceProfile, grid: TorusGrid,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The coefficients of ``sample_real_gfs`` by the per-axis half-space mask:
+    the half-space keeps its draws, the rest takes the conjugates of the
+    flipped cube, and the zero mode is real."""
+    shape = grid.mode_shape
+    sigma = np.sqrt(profile.sigma2_from_r2(grid.k_squared))
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    coeffs = sigma * (a + 1j * b) / np.sqrt(2.0)
+    coeffs = np.where(half_space_mask(grid), coeffs, np.conj(np.flip(coeffs)))
+    centre = (grid.half_band,) * grid.dim
+    coeffs[centre] = sigma[centre] * a[centre]
+    return coeffs
 
 
 def reference_sigma2(p: VarianceProfile, r2) -> np.ndarray:
@@ -105,6 +132,20 @@ class TestHalfSpace:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("dim, modes", [
+        (1, 1), (1, 3), (1, 9), (1, 65), (2, 1), (2, 3), (2, 7), (2, 17),
+        (3, 1), (3, 3), (3, 5), (3, 9)])
+    def test_flat_mirror_matches_the_half_space_mask_bit_for_bit(self, dim, modes):
+        grid = TorusGrid(dim, modes)
+        for seed, profile in enumerate((
+                VarianceProfile.white(grid.half_band),
+                VarianceProfile.of_kind("powerlog", dim, grid.half_band),
+                VarianceProfile("power", grid.half_band / 2, gamma=-1.0))):
+            got = sample_real_gfs(profile, grid, stream(seed, dim, modes)).coeffs
+            want = reference_sample(profile, grid, stream(seed, dim, modes))
+            assert got.shape == (1,) + want.shape
+            assert got[0].tobytes() == want.tobytes()
+
     def test_reality(self):
         grid = TorusGrid(2, 9)
         X = sample_real_gfs(VarianceProfile.white(4), grid, stream(1, 0))
