@@ -110,23 +110,29 @@ def mode_weight_table(profile: VarianceProfile, dim: int,
     return s[keep].astype(float), wsig[keep]
 
 
-def _lattice_sum(profile: VarianceProfile, dim: int, t, radius,
-                 kernel) -> np.ndarray | float:
-    """``kernel(t n^2, n^2, weights)`` over the weight table: one sum per t >= 0."""
+def _sum_over_t(t, s, w, kernel) -> np.ndarray | float:
+    """``kernel(t n^2, n^2, w)`` over modes of n^2 ``s``, weight ``w``; one per t >= 0."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
-    s, w = mode_weight_table(profile, dim, N)
     out = kernel(np.multiply.outer(t_arr, s), s, w)
     return out if np.ndim(t) else float(out[0])
+
+
+def _lattice_sum(profile: VarianceProfile, dim: int, t, radius, kernel):
+    """``_sum_over_t`` over the weight table, for |n| <= radius (the cutoff)."""
+    N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
+    return _sum_over_t(t, *mode_weight_table(profile, dim, N), kernel)
+
+
+def _decay_sum(ts, s, w):
+    return np.exp(-2.0 * ts) @ w
 
 
 def expected_Zt(profile: VarianceProfile, dim: int, t,
                 radius: int | None = None) -> np.ndarray | float:
     """E Z_t = sum_{n_1>0, |n|<=N} 2 exp(-2 n^2 t) n_1 sigma^2(n), exact."""
-    return _lattice_sum(profile, dim, t, radius,
-                        lambda ts, s, w: np.exp(-2.0 * ts) @ w)
+    return _lattice_sum(profile, dim, t, radius, _decay_sum)
 
 
 def drift_scalar(profile: VarianceProfile, dim: int, t,
@@ -138,17 +144,15 @@ def drift_scalar(profile: VarianceProfile, dim: int, t,
 
 
 def compute_Zt(field: SpectralField, t) -> np.ndarray | float:
-    """Realised Z_t from the coefficients of a real scalar field."""
+    """Realised Z_t from the coefficients of a real scalar field: E Z_t's sum
+    with the weights 2 n_1 |X_n|^2 in place of 2 n_1 sigma^2(n)."""
     if field.components != 1:
         raise ValueError("Z_t is defined for scalar fields")
     grid = field.grid
     k1 = (grid.axis_wavenumbers(0) * np.ones(grid.mode_shape)).ravel()
     pos = k1 > 0
     mags = np.abs(field.coeffs[0]).ravel()[pos] ** 2
-    n2 = grid.k_squared.ravel()[pos]
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.exp(-2.0 * np.multiply.outer(t_arr, n2)) @ (2.0 * k1[pos] * mags)
-    return out if np.ndim(t) else float(out[0])
+    return _sum_over_t(t, grid.k_squared.ravel()[pos], 2.0 * k1[pos] * mags, _decay_sum)
 
 
 # -- bound reports -------------------------------------------------------------
@@ -171,24 +175,28 @@ class BoundReport:
 
 
 def _spread(values) -> float:
+    """max/min of the values that are not None: NaN if one is NaN, inf if
+    none is left or the smallest is <= 0."""
     vals = [v for v in values if v is not None]
-    if not vals or min(vals) <= 0:
-        return math.inf
-    return max(vals) / min(vals)
+    if any(math.isnan(v) for v in vals):
+        return math.nan
+    return float(max(vals) / min(vals)) if vals and min(vals) > 0 else math.inf
 
 
 def _envelope_report(radii, envelopes) -> BoundReport:
     """Per radius N, with (v, upper, adm, lower) = envelopes(N): the max over the
     t grid of v / upper, the min over the admissible t (a mask or indices) of
-    v[adm] / lower (None if no t is), and the spreads of both across N."""
+    v[adm] / lower (None if no t is), and the spreads of both across N. Passes when
+    both are <= ``SPREAD_MAX``: no ratio NaN or <= 0, some lower ratio not None."""
     upper, lower = {}, {}
     for N in radii:
         v, up, adm, low = envelopes(N)
         upper[N] = float(np.max(v / up))
         ratios = v[adm] / low
         lower[N] = float(np.min(ratios)) if ratios.size else None
-    return BoundReport(list(radii), upper, lower, _spread(upper.values()),
-                       _spread(lower.values()))
+    spreads = _spread(upper.values()), _spread(lower.values())
+    return BoundReport(list(radii), upper, lower, *spreads,
+                       passed=all(s <= SPREAD_MAX for s in spreads))
 
 
 def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
@@ -210,10 +218,7 @@ def verify_EZt_bounds(profile_for_N, dim: int, radii, t_grid,
         return (expected_Zt(profile_for_N(N), dim, t, N),
                 np.minimum(float(N) ** 2, 1.0 / t), adm, low)
 
-    rep = _envelope_report(radii, envelopes)
-    rep.passed = rep.upper_spread <= SPREAD_MAX and rep.lower_spread <= SPREAD_MAX \
-        and all(v is None or v > 0 for v in rep.lower_ratio.values())
-    return rep
+    return _envelope_report(radii, envelopes)
 
 
 def graded_quadrature_nodes(t: float, n: int = 1000):
@@ -249,7 +254,7 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
     t > N^{-2}, |I_t| against log log log N - log log log(1/t).  The
     integral check compares integral (t-s)^a |I_s|^p s^b ds with
     t^{a+b+1} (log N)^p at t = max(t_grid) for each ``INTEGRAL_EXPONENTS``
-    (a, b, p).  Passes on ``SPREAD_MAX`` and ``INTEGRAL_SPREAD_MAX``.
+    (a, b, p).  Passes on ``_envelope_report``'s rule and ``INTEGRAL_SPREAD_MAX``.
     """
     t, direction = np.asarray(t_grid, dtype=float), np.asarray(direction, dtype=float)
 
@@ -270,7 +275,7 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
         profile_for_N(N), dim, N, direction, t_top, a, b, p)
         / (t_top ** (a + b + 1.0) * math.log(N) ** p) for N in radii}
         for (a, b, p) in INTEGRAL_EXPONENTS}
-    rep.passed = rep.upper_spread <= SPREAD_MAX and all(
+    rep.passed = rep.passed and all(
         _spread(d.values()) <= INTEGRAL_SPREAD_MAX for d in rep.integral_ratio.values())
     return rep
 

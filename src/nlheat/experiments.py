@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .besov import DyadicPartition, besov_norms
-from .correlation import (ParameterSet, drift_scalar, geometric_grid,
+from .correlation import (ParameterSet, _spread, drift_scalar, geometric_grid,
                           moment_experiment_decorrelated, moment_experiment_Z,
                           verify_EZt_bounds, verify_It_bounds)
 from .field import SpectralField, TorusGrid, dealias_points
@@ -379,10 +379,6 @@ def _median(values) -> float:
     if not v or any(math.isnan(x) for x in v):
         return math.nan
     return float(v[m] if len(v) % 2 else (v[m - 1] + v[m]) / 2)
-
-
-def _spread(values) -> float:
-    return float(np.max(values) / np.min(values))    # NaN if any value is
 
 
 def trial_faults(summary: dict) -> list:

@@ -8,8 +8,8 @@ Tensors are stored output-first:
     p0[c], p1[c, a], p2[c, a, b], p3[c, a, b, e]
 
 with p2, p3 symmetrised over their input slots.  The presets are
-``antisym2`` and the gauge flows ``dym`` (DeTurck-Yang-Mills) and ``dymh``
-(with an adjoint Higgs field), whose tensors one private function builds.
+``antisym2`` and the so(3) gauge flows ``dym`` (DeTurck-Yang-Mills) and
+``dymh`` (with an adjoint Higgs field), all built by ``preset``.
 """
 
 from __future__ import annotations
@@ -141,41 +141,23 @@ def drift_direction(spec: NonlinearitySpec, a: int, b: int) -> np.ndarray:
 
 # -- presets -------------------------------------------------------------------
 
-def _structure_constants(algebra) -> np.ndarray:
-    if isinstance(algebra, str):
-        if algebra == "so3":
-            return SO3.copy()
-        raise ValueError(f"unknown Lie algebra {algebra!r}")
-    f = np.asarray(algebra, float)
-    if f.ndim != 3 or f.shape[0] != f.shape[1] or f.shape[1] != f.shape[2]:
-        raise ValueError("structure constants must form a cubic tensor")
-    return f
+def _gauge_flow(dim: int, higgs: bool) -> NonlinearitySpec:
+    """Tensors of the gauge flow over so(3), with an adjoint Higgs block if ``higgs``.
 
-
-def preset_antisym2(dim: int = 1) -> NonlinearitySpec:
-    """Minimal asymmetric instance: dim_E = 2, B_1(x, y) = (x1 y2 - x2 y1) T^1."""
-    B = np.zeros((dim, 2, 2, 2))
-    B[0, 0, 0, 1] = 1.0
-    B[0, 0, 1, 0] = -1.0
-    return NonlinearitySpec.from_parts(dim, 2, B=B)
-
-
-def _gauge_flow(dim: int, algebra, higgs: bool) -> NonlinearitySpec:
-    """Tensors of the gauge flow, with an adjoint Higgs block if ``higgs``.
-
-    E is indexed as (block, alpha): blocks dx^0..dx^(dim-1), then the Higgs
-    block, flattened as block * dim(g) + alpha.  B holds the transport
-    2 [X^i, V^j] into every block j and the gauge fixing -[X^j, V^j] dx^i
-    over the gauge blocks; p3 holds sum_i [X^i, [X^i, X^j]] for every block
-    j and, with the Higgs block Phi, -|Phi|^2 Phi.
+    ``dym`` is the gauge heat flow with the divergence gauge-fixing term: E =
+    g^dim with basis T^(j, alpha) = e_alpha dx^j, the quadratic part
+        B_i(X, V) = sum_j 2 [X^i, V^j] dx^j - sum_l [X^l, V^l] dx^i
+    makes sum_i B_i(u, d_i u) the commutator transport and gauge-fixing terms,
+    and the cubic part is P(X)^j = sum_i [X^i,[X^i,X^j]]. ``dymh`` couples it
+    to an adjoint Higgs field Phi: E = g^dim + g, and Phi gets the transport
+    2 [X^i, d_i Phi] and the cubic terms sum_i [X^i, [X^i, Phi]] - |Phi|^2 Phi.
+    E is indexed as (block, alpha), flattened as block * dim(g) + alpha; the
+    transport and the double bracket fill every block, the gauge fixing only dx^i.
     """
-    f = _structure_constants(algebra)
-    if not np.any(f):
-        raise ValueError("abelian Lie algebra gives a symmetric B; no witness")
-    ng, nb = f.shape[0], dim + higgs
-    f_out = f.transpose(2, 0, 1)                     # [e_a, e_b] -> (c, a, b)
+    ng, nb = 3, dim + higgs
+    f_out = SO3.transpose(2, 0, 1)                   # [e_a, e_b] -> (c, a, b)
     # [e_a, [e_b, e_c]] = sum_d ff[d, a, b, c] e_d
-    ff = np.einsum("bcm,amd->dabc", f, f)
+    ff = np.einsum("bcm,amd->dabc", SO3, SO3)
     B = np.zeros((dim, nb, ng, nb, ng, nb, ng))
     p3 = np.zeros((nb, ng) * 4)
     for i in range(dim):
@@ -192,32 +174,16 @@ def _gauge_flow(dim: int, algebra, higgs: bool) -> NonlinearitySpec:
                                        p3=p3.reshape(n, n, n, n))
 
 
-def preset_dym(dim: int = 3, algebra="so3") -> NonlinearitySpec:
-    """Gauge heat flow with the divergence gauge-fixing term.
-
-    E = g^dim with basis T^(j, alpha) = e_alpha dx^j.  The quadratic part
-        B_i(X, V) = sum_j 2 [X^i, V^j] dx^j - sum_l [X^l, V^l] dx^i
-    makes sum_i B_i(u, d_i u) the commutator transport and gauge-fixing
-    terms, and the cubic part is P(X)^j = sum_i [X^i,[X^i,X^j]].
-    """
-    return _gauge_flow(dim, algebra, higgs=False)
-
-
-def preset_dymh(dim: int = 3, algebra="so3") -> NonlinearitySpec:
-    """Gauge flow coupled to an adjoint Higgs component.
-
-    E = g^dim + g; the Higgs block Phi gets the transport coupling
-    2 [X^i, d_i Phi] and the cubic terms sum_i [X^i, [X^i, Phi]] - |Phi|^2 Phi.
-    """
-    return _gauge_flow(dim, algebra, higgs=True)
-
-
 def preset(name: str, dim: int | None = None, algebra="so3") -> NonlinearitySpec:
-    """Named nonlinearity presets: ``antisym2``, ``dym``, ``dymh``."""
+    """Named nonlinearity presets: ``antisym2``, the minimal asymmetric
+    instance dim_E = 2, B_1(x, y) = (x1 y2 - x2 y1) T^1, and the gauge flows
+    ``dym`` and ``dymh`` of ``_gauge_flow``. The one ``algebra`` is so3."""
+    if not (isinstance(algebra, str) and algebra == "so3"):
+        raise ValueError(f"unknown Lie algebra {algebra!r}")
     if name == "antisym2":
-        return preset_antisym2(dim or 1)
-    if name == "dym":
-        return preset_dym(dim or 3, algebra)
-    if name == "dymh":
-        return preset_dymh(dim or 3, algebra)
+        B = np.zeros((dim or 1, 2, 2, 2))
+        B[0, 0, 0, 1], B[0, 0, 1, 0] = 1.0, -1.0
+        return NonlinearitySpec.from_parts(dim or 1, 2, B=B)
+    if name in ("dym", "dymh"):
+        return _gauge_flow(dim or 3, higgs=name == "dymh")
     raise ValueError(f"unknown preset {name!r}")

@@ -19,7 +19,7 @@ from nlheat.experiments import (ExperimentConfig, inflation_verdict,
                                 run_besov_convergence, run_inflation,
                                 run_tables)
 from nlheat.field import SpectralField, TorusGrid, pointwise_product
-from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
+from nlheat.nonlinearity import NonlinearitySpec, preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from nlheat.solver import SolveConfig, solve
 
@@ -127,10 +127,12 @@ def test_criterion_4_drift_bounds():
                            t_grid)
     spreads = {abp: max(d.values()) / min(d.values())
                for abp, d in rep.integral_ratio.items()}
-    ok = rep.upper_spread < 2.0 and all(s < 3.0 for s in spreads.values())
+    ok = rep.upper_spread < 2.0 and rep.lower_spread < 2.0 \
+        and all(s < 3.0 for s in spreads.values())
     detail = ", ".join(f"integral{abp} spread {s:.2f}"
                        for abp, s in sorted(spreads.items()))
-    report(4, ok, f"envelope spread {rep.upper_spread:.3f} (< 2), {detail} (< 3)")
+    report(4, ok, f"upper spread {rep.upper_spread:.3f}, lower spread "
+           f"{rep.lower_spread:.3f} (both < 2), {detail} (< 3)")
 
 
 # -- 5: moment flatness --------------------------------------------------------
@@ -229,7 +231,7 @@ def test_criterion_8_besov_dichotomy():
 # -- 9: solver orders ----------------------------------------------------------
 
 def test_criterion_9_solver_order():
-    spec = preset_dym(2)
+    spec = preset("dym", 2)
     rng = np.random.default_rng(SEED)
     x0 = 0.5 * rng.standard_normal(spec.dim_E)
     grid = TorusGrid(2, 5, 10)

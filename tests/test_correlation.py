@@ -15,8 +15,8 @@ from scipy.integrate import quad
 import nlheat
 from nlheat.besov import besov_norms
 from nlheat.correlation import (INTEGRAL_EXPONENTS, SPREAD_MAX, INTEGRAL_SPREAD_MAX,
-                                ParameterSet, _quantile, _spread, compute_Zt,
-                                decorrelated_statistic, drift_scalar,
+                                ParameterSet, _envelope_report, _quantile, _spread,
+                                compute_Zt, decorrelated_statistic, drift_scalar,
                                 expected_Zt, geometric_grid,
                                 graded_quadrature_nodes, mode_weight_table,
                                 trend_slope, verify_EZt_bounds, verify_It_bounds,
@@ -68,6 +68,32 @@ class TestExactSums:
         coeffs = np.zeros((1, 5, 5), complex)
         coeffs[0, K, K + 1] = coeffs[0, K, K - 1] = 1.0   # n_1 = 0
         assert compute_Zt(SpectralField(grid, coeffs), 0.1) == 0.0
+
+    @pytest.mark.parametrize("t", [-1.0, [0.1, -1e-9]], ids=["scalar", "array"])
+    def test_negative_time_is_refused_by_every_t_sum(self, t):
+        prof, grid = VarianceProfile.white(4), TorusGrid(1, 9)
+        X = sample_real_gfs(prof, grid, stream(3, 0))
+        for total in (lambda: compute_Zt(X, t), lambda: expected_Zt(prof, 1, t),
+                      lambda: drift_scalar(prof, 1, t)):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                total()
+
+    @pytest.mark.parametrize("dim, modes", [(1, 33), (2, 9), (3, 5)])
+    def test_realised_Z_matches_the_direct_sum_bit_for_bit(self, dim, modes):
+        # the direct sum over n_1 > 0, as compute_Zt wrote it before it
+        # shared E Z_t's t-sum
+        grid = TorusGrid(dim, modes)
+        X = sample_real_gfs(VarianceProfile.white(grid.half_band), grid, stream(11, dim))
+        k1 = (grid.axis_wavenumbers(0) * np.ones(grid.mode_shape)).ravel()
+        pos = k1 > 0
+        weights = 2.0 * k1[pos] * np.abs(X.coeffs[0]).ravel()[pos] ** 2
+        n2 = grid.k_squared.ravel()[pos]
+
+        def direct(t):
+            return np.exp(-2.0 * np.multiply.outer(t, n2)) @ weights
+        t = geometric_grid(1.0, 1e-4, 10)
+        assert np.array_equal(compute_Zt(X, t), direct(t))
+        assert all(compute_Zt(X, float(s)) == float(direct([s])[0]) for s in t)
 
     def test_bucketing_matches_direct_lattice_d3(self):
         prof = VarianceProfile.of_kind("powerlog", 3, 5)
@@ -232,7 +258,9 @@ def reference_it_report(profile_for_N, dim, direction, radii, t_grid):
             integral[(a, b, p)][N] = weighted_drift_integral(
                 prof, dim, N, direction, t_top, a, b, p) \
                 / (t_top ** (a + b + 1.0) * math.log(N) ** p)
-    passed = _spread(upper.values()) <= SPREAD_MAX and all(
+    passed = _spread(upper.values()) <= SPREAD_MAX \
+        and _spread(lower.values()) <= SPREAD_MAX \
+        and all(v is None or v > 0 for v in lower.values()) and all(
         _spread(d.values()) <= INTEGRAL_SPREAD_MAX for d in integral.values())
     return upper, lower, integral, passed
 
@@ -260,6 +288,23 @@ def test_envelope_reports_match_the_per_radius_formulas_bit_for_bit(dim, kind, r
     assert (rep.upper_ratio, rep.lower_ratio, rep.integral_ratio, rep.passed) == \
         (upper, lower, integral, passed)
     assert 2 not in radii or lower[2] is None       # no admissible t at N = 2
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+def test_a_nan_spread_is_nan_and_fails_the_envelope(where):
+    values = [2.0, None, 3.0, 1.5, 2.5]
+    assert _spread(values) == 2.0 and _spread([None, 1.0]) == 1.0
+    assert _spread([]) == _spread([None]) == _spread([1.0, 0.0]) == math.inf
+    values[where] = math.nan
+    assert math.isnan(_spread(values))
+    radii = [4, 8, 16, 32, 64]
+    for side in ("upper", "lower"):
+        def envelopes(N):
+            bad = math.nan if N == radii[where] else 1.0
+            up, low = (bad, 1.0) if side == "upper" else (1.0, bad)
+            return np.array([1.0, 2.0]), np.full(2, up), [0, 1], np.full(2, low)
+        rep = _envelope_report(radii, envelopes)
+        assert math.isnan(getattr(rep, f"{side}_spread")) and not rep.passed
 
 
 class TestStatistics:

@@ -22,6 +22,7 @@ from nlheat.experiments import (ConfigError, ExperimentConfig,
 from nlheat.correlation import ParameterSet
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
+from nlheat.nonlinearity import SO3
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 
 
@@ -317,14 +318,16 @@ class TestConfig:
         ("nonlinearity", {"preset": "nope"}, ("nonlinearity", "preset")),
         ("nonlinearity", {"preset": "dym", "algebra": "su2"},
          ("nonlinearity", "algebra")),
+        ("nonlinearity", {"preset": "dym", "algebra": SO3.tolist()},
+         ("nonlinearity", "algebra")),
         ("profile", {"kind": "powerlog", "k0": 2.0}, ("profile", "k0")),
         ("experiment", {"radii": [256, 64, 64]}, ("experiment.radii",)),
         ("experiment", {"radii": [8, 8]}, ("experiment.radii",)),
         ("experiment", {"radii": [8, 16], "base": [1.0]}, ("experiment.base",)),
         ("grid", {"dim": 0}, ("grid.dim",))],
         ids=["delta", "eta", "pair-past-E", "pair-negative", "pair-equal",
-             "preset", "algebra", "k0", "radii-falling", "radii-repeated",
-             "base", "dim-0"])
+             "preset", "algebra", "algebra-as-list", "k0", "radii-falling",
+             "radii-repeated", "base", "dim-0"])
     def test_bad_inputs_fail_at_load_naming_the_key(self, tmp_path, capsys,
                                                     kind, section, value, words):
         doc = tiny_doc(kind=kind, **{section: value})

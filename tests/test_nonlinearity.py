@@ -6,8 +6,7 @@ from scipy.integrate import solve_ivp
 
 from nlheat.field import SpectralField, TorusGrid, synthesize_real
 from nlheat.nonlinearity import (SO3, NonlinearitySpec, asymmetry_witness,
-                                 drift_direction, preset, preset_antisym2,
-                                 preset_dym, preset_dymh)
+                                 drift_direction, preset)
 from nlheat.solver import SolveConfig, solve
 
 from spec_helpers import evaluate_rhs_nonlinear, permuted
@@ -36,7 +35,7 @@ class TestStructureConstants:
 
 class TestWitness:
     def test_antisym2_witness(self):
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         assert asymmetry_witness(spec) == (0, 0, 1)
         assert np.allclose(spec.B[0, :, 0, 1], [1.0, 0.0])
         assert np.allclose(spec.B[0, :, 1, 0], [-1.0, 0.0])
@@ -70,7 +69,7 @@ class TestWitness:
         assert found.count(None) > 50 and len(set(found)) > 10
 
     def test_dym_witness_every_axis(self):
-        spec = preset_dym(3)
+        spec = preset("dym", 3)
         for i in range(3):
             found = any(
                 np.any(spec.B[i, :, a, b] != spec.B[i, :, b, a])
@@ -78,7 +77,7 @@ class TestWitness:
             assert found, f"axis {i} unexpectedly symmetric"
 
     def test_drift_direction_antisym2(self):
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         assert np.allclose(drift_direction(spec, 0, 1), [-2.0, 0.0])
 
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (-1, 0), (0, -1), (0, 2),
@@ -86,10 +85,10 @@ class TestWitness:
     def test_drift_direction_rejects_a_pair_outside_E(self, a, b):
         # -1 would index the last component, and 7 past the end of B
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
-            drift_direction(preset_antisym2(1), a, b)
+            drift_direction(preset("antisym2", 1), a, b)
 
     def test_permutation_equivariance(self):
-        spec = preset_dym(2)
+        spec = preset("dym", 2)
         perm = np.roll(np.arange(spec.dim_E), 1)
         p = permuted(spec, perm)
         i, a, b = asymmetry_witness(spec)
@@ -106,13 +105,16 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("navier")
 
-    def test_abelian_rejected(self):
-        with pytest.raises(ValueError):
-            preset_dym(2, np.zeros((2, 2, 2)))
+    @pytest.mark.parametrize("name", ["antisym2", "dym", "dymh"])
+    @pytest.mark.parametrize("algebra", [np.zeros((2, 2, 2)), SO3, SO3.tolist(), "su2"],
+                             ids=["zero-array", "so3-array", "so3-as-list", "su2"])
+    def test_an_algebra_other_than_so3_is_refused(self, name, algebra):
+        with pytest.raises(ValueError, match="algebra"):
+            preset(name, 2, algebra)
 
     def test_dymh_extends_dym(self):
-        g = preset_dym(2)
-        h = preset_dymh(2)
+        g = preset("dym", 2)
+        h = preset("dymh", 2)
         n = g.dim_E
         assert h.dim_E == n + 3
         assert np.array_equal(h.B[:, :n, :n, :n], g.B)
@@ -159,7 +161,7 @@ class TestRhs:
     def test_constant_antisym2_is_zero(self):
         grid = TorusGrid(1, 9)
         u = SpectralField.constant(grid, [1.0, -2.0])
-        out = evaluate_rhs_nonlinear(u, preset_antisym2(1))
+        out = evaluate_rhs_nonlinear(u, preset("antisym2", 1))
         assert np.max(np.abs(out.coeffs)) < 1e-14
 
     def test_trig_identity(self):
@@ -171,7 +173,7 @@ class TestRhs:
         coeffs[1, K + 1] = -0.5j
         coeffs[1, K - 1] = 0.5j
         u = SpectralField(grid, coeffs)
-        out = evaluate_rhs_nonlinear(u, preset_antisym2(1))
+        out = evaluate_rhs_nonlinear(u, preset("antisym2", 1))
         expect = SpectralField.constant(grid, [1.0, 0.0])
         assert np.max(np.abs(out.coeffs - expect.coeffs)) < 1e-12
 
@@ -183,7 +185,7 @@ class TestRhs:
             c = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
             return SpectralField(grid, 0.5 * (c + np.conj(np.flip(c, axis=1))))
 
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         u, v, w = rand_real(), rand_real(), rand_real()
 
         def B_of(a, b):
@@ -201,7 +203,7 @@ class TestOdeReduction:
     def test_dym_constant_data_matches_ode(self):
         """Spatially constant data: DX = 0, the flow reduces to the cubic
         ODE dX^j/dt = sum_i [X^i, [X^i, X^j]]; integrate both ways."""
-        spec = preset_dym(2)
+        spec = preset("dym", 2)
         rng = np.random.default_rng(8)
         x0 = 0.4 * rng.standard_normal(spec.dim_E)
 
@@ -225,7 +227,7 @@ class TestOdeReduction:
     def test_dymh_higgs_constant_data_matches_ode(self):
         """Constant data with only the Higgs block active: the transport
         coupling vanishes and the flow is dPhi/dt = -|Phi|^2 Phi."""
-        spec = preset_dymh(2)
+        spec = preset("dymh", 2)
         phi0 = np.array([0.5, -0.3, 0.2])
         x0 = np.zeros(spec.dim_E)
         x0[-3:] = phi0

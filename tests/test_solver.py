@@ -8,7 +8,7 @@ import pytest
 
 from nlheat.besov import besov_norms
 from nlheat.field import SpectralField, TorusGrid
-from nlheat.nonlinearity import NonlinearitySpec, preset_antisym2, preset_dym
+from nlheat.nonlinearity import NonlinearitySpec, preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
 from nlheat.solver import (SolveConfig, _phi1, _phi2, nonlinear_rhs_coeffs,
                            remainder_norms, solve)
@@ -44,18 +44,18 @@ class TestMismatch:
         grid = TorusGrid(3, 5, 10)
         coeffs = np.zeros((2,) + grid.mode_shape, complex)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            nonlinear_rhs_coeffs(coeffs, grid, preset_antisym2(1))
+            nonlinear_rhs_coeffs(coeffs, grid, preset("antisym2", 1))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            solve(SpectralField(grid, coeffs), preset_antisym2(1),
+            solve(SpectralField(grid, coeffs), preset("antisym2", 1),
                   SolveConfig(0.1, 2))
 
     def test_components(self):
         grid = TorusGrid(1, 9)
         coeffs = np.zeros((3,) + grid.mode_shape, complex)
         with pytest.raises(ValueError, match="component mismatch"):
-            nonlinear_rhs_coeffs(coeffs, grid, preset_antisym2(1))
+            nonlinear_rhs_coeffs(coeffs, grid, preset("antisym2", 1))
         with pytest.raises(ValueError, match="component mismatch"):
-            solve(SpectralField(grid, coeffs), preset_antisym2(1),
+            solve(SpectralField(grid, coeffs), preset("antisym2", 1),
                   SolveConfig(0.1, 2))
 
 
@@ -94,7 +94,7 @@ class TestOrders:
 
     def test_etdrk2_order_on_cubic_ode(self):
         # dym constant-data reduction against a fine reference
-        spec = preset_dym(2)
+        spec = preset("dym", 2)
         rng = np.random.default_rng(4)
         x0 = 0.5 * rng.standard_normal(spec.dim_E)
         grid = TorusGrid(2, 5, 10)
@@ -116,7 +116,7 @@ class TestConsistency:
         the per-step update formula below."""
         grid = TorusGrid(1, 129)
         u0 = random_real(grid, components=2, seed=12)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         cfg = SolveConfig(20 * 0.5 / 64 ** 2, 20)
         h = cfg.t_end / cfg.steps
         z = -grid.k_squared * h
@@ -137,7 +137,7 @@ class TestConsistency:
         recorded nonlinear RHS zero mode within 1% at mid-trajectory."""
         grid = TorusGrid(1, 33)
         u0 = random_real(grid, components=2, seed=6)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         steps = 400
         T = 0.02
         mid = T / 2
@@ -154,7 +154,7 @@ class TestConsistency:
     def test_permutation_equivariance(self):
         grid = TorusGrid(1, 17)
         u0 = random_real(grid, components=2, seed=7)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         perm = np.array([1, 0])
         cfg = SolveConfig(0.05, 50)
         a = solve(SpectralField(grid, u0.coeffs[perm]), permuted(spec, perm), cfg)
@@ -173,7 +173,7 @@ class TestConsistency:
         coeffs = np.zeros((2, 33), complex)
         coeffs[:, pad:pad + 17] = u0s.coeffs
         u0b = SpectralField(big, coeffs)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         cfg = SolveConfig(0.05, 100)
         a = solve(u0s, spec, cfg).fields[-1].coeffs
         b = solve(u0b, spec, cfg).fields[-1].coeffs[:, pad:pad + 17]
@@ -226,10 +226,10 @@ class TestConsistency:
     def test_health_of_a_completed_solve(self):
         grid = TorusGrid(1, 33)
         u0 = random_real(grid, components=2, seed=4)
-        traj = solve(u0, preset_antisym2(1), SolveConfig(0.01, 7))
+        traj = solve(u0, preset("antisym2", 1), SolveConfig(0.01, 7))
         assert traj.status == "completed" and traj.steps == 7
         assert isinstance(traj.steps, int)
-        sup0 = nonlinear_rhs_coeffs(u0.coeffs, grid, preset_antisym2(1))[1]
+        sup0 = nonlinear_rhs_coeffs(u0.coeffs, grid, preset("antisym2", 1))[1]
         assert traj.sup_max >= sup0 > 0
 
     def test_one_checked_layout_per_solve(self, monkeypatch):
@@ -238,7 +238,7 @@ class TestConsistency:
         monkeypatch.setattr(solver_module, "_layout",
                             lambda *a: calls.append(1) or layout(*a))
         u0 = random_real(TorusGrid(1, 33), components=2, seed=4)
-        traj = solve(u0, preset_antisym2(1), SolveConfig(0.01, 7))
+        traj = solve(u0, preset("antisym2", 1), SolveConfig(0.01, 7))
         assert traj.steps == 7 and len(calls) == 1
 
 
@@ -265,7 +265,7 @@ class TestController:
         u0 = random_real(grid, components=2, seed=3)
         T = 0.01
         asked = (-1.0, 0.0, 1e-4, 2e-4, 2.5e-4, 1e-3, 3e-3, 7e-3, T, 2 * T)
-        traj = solve(u0, preset_antisym2(1),
+        traj = solve(u0, preset("antisym2", 1),
                      SolveConfig(T, 8, snapshot_times=asked, tol=1e-3))
         bounds = traj.zero_mode_times
         assert traj.status == "completed" and traj.steps > 8
@@ -290,7 +290,7 @@ class TestController:
                             lambda *a: calls.append(1) or rhs(*a))
         grid = TorusGrid(1, 33)
         u0 = random_real(grid, components=2, seed=5)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         first = solve(u0, spec, SolveConfig(0.01, 1, tol=1e-6))
         assert first.rejected >= 1 and first.status == "completed"
         assert len(calls) == 2 * first.steps + first.rejected
@@ -305,7 +305,7 @@ class TestController:
     def test_matches_fine_fixed_reference(self):
         grid = TorusGrid(1, 65)
         u0 = random_real(grid, components=2, seed=6)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         T = 0.02
         ref = solve(u0, spec, SolveConfig(T, 4000)).fields[-1].coeffs
         errs = {}
@@ -337,7 +337,7 @@ class TestPicard:
     def test_matches_rhs_of_heat_flow(self):
         grid = TorusGrid(1, 17)
         u0 = random_real(grid, components=2, seed=9)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         t = 0.01
         got = picard_nonlinearity(u0, t, spec)
         quad = NonlinearitySpec.from_parts(1, 2, B=spec.B)
@@ -375,7 +375,7 @@ class TestRemainder:
             assert np.max(norms_of(traj, u0, lambda t: np.zeros(1), -0.25)) < 1e-10
 
     @pytest.mark.parametrize("dim, modes, spec", [
-        (1, 33, preset_antisym2(1)), (2, 5, preset_dym(2))], ids=["antisym2", "dym"])
+        (1, 33, preset("antisym2", 1)), (2, 5, preset("dym", 2))], ids=["antisym2", "dym"])
     def test_stacked_norms_equal_per_snapshot_norms(self, dim, modes, spec):
         grid = TorusGrid(dim, modes, 2 * modes)
         u0 = SpectralField(grid, 0.3 * random_real(grid, spec.dim_E, seed=12).coeffs)
@@ -397,7 +397,7 @@ class TestRemainder:
         coeffs[0, K + 1] = coeffs[0, K - 1] = 0.5 * eps
         coeffs[1, K + 2] = coeffs[1, K - 2] = 0.5 * eps
         u0 = SpectralField(grid, coeffs)
-        spec = preset_antisym2(1)
+        spec = preset("antisym2", 1)
         T = 0.1
         traj = solve(u0, spec, SolveConfig(T, 400, snapshot_times=(T,)))
         got = traj.fields[-1].coeffs - u0.heat(T).coeffs

@@ -9,7 +9,8 @@
 #   - the command of each benchmarks/configs/*.yaml (inflate, perturb, besov
 #     or tables) at --seed 1 and --seed 2;
 #   - nlheat identities --seed 5;
-#   - nlheat sample and nlheat solve on a d = 3 dym powerlog N = 4 config;
+#   - nlheat sample and nlheat solve on a d = 3 dym powerlog N = 4 config,
+#     and on a d = 2 dymh white N = 4 config;
 #   - a fixed-step (solver.tol: null) solve at d = 1;
 #   - a d = 2 powerlog tables run with --threads 2;
 #   - an inflate run with a vector base and epsilon 0.5.
@@ -42,6 +43,16 @@ experiment: {radii: [4], trials: 1}
 EOF
 sed 's/^kind: sample/kind: solve/' "$configs/dym-d3-sample.yaml" \
     > "$configs/dym-d3-solve.yaml"
+cat > "$configs/dymh-d2-sample.yaml" <<'EOF'
+kind: sample
+seed: 6
+grid: {dim: 2}
+profile: {kind: white}
+nonlinearity: {preset: dymh, algebra: so3}
+experiment: {radii: [4], trials: 1}
+EOF
+sed 's/^kind: sample/kind: solve/' "$configs/dymh-d2-sample.yaml" \
+    > "$configs/dymh-d2-solve.yaml"
 cat > "$configs/fixed-step-solve.yaml" <<'EOF'
 kind: solve
 seed: 4
@@ -90,7 +101,8 @@ for side in parent change; do
         done
     done
     run "$side" "$tree" identities identities --seed 5
-    for name in dym-d3-sample dym-d3-solve fixed-step-solve base-inflate; do
+    for name in dym-d3-sample dym-d3-solve dymh-d2-sample dymh-d2-solve \
+            fixed-step-solve base-inflate; do
         kind=$(sed -n 's/^kind: *//p' "$configs/$name.yaml")
         run "$side" "$tree" "$name" "$kind" --config "$configs/$name.yaml" \
             --threads 1 --out "runs/$name"
