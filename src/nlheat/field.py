@@ -8,12 +8,12 @@ except the pointwise product, which goes through an oversampled physical
 grid (2/3-rule dealiasing) so that products are exact on the retained band.
 
 Fields are real, with Hermitian coefficients f_{-k} = conj(f_k), so the
-transforms are real-to-complex: synthesis reads only the k_d >= 0 half of
-the cube, and analysis rebuilds the k_d < 0 half as its conjugate mirror.
-At d >= 2 synthesis transforms one axis at a time, in ``irfftn``'s order
-(c2c on axes -d..-2, then c2r on the last), so each pass runs only over the
-lines that can be non-zero: those inside the band on the axes not yet
-transformed.  Its values equal ``irfftn`` of the zero-padded cube bit for bit.
+transforms are real-to-complex, with cores on the k_d >= 0 half cube (the
+solver's state): synthesis reads only it, and analysis rebuilds the k_d < 0
+half from it once, as its conjugate mirror (``_mirror``).  At d >= 2
+synthesis runs one axis at a time, in ``irfftn``'s order (c2c on axes
+-d..-2, then c2r on the last), each pass only over the lines inside the band
+on the axes not yet transformed; its values equal ``irfftn``'s bit for bit.
 Analysis mirrors it: r2c on the last axis keeping the K + 1 columns k_d >= 0,
 then c2c on each leading axis keeping the band rows.  The transforms are
 ``numpy.fft``'s (pocketfft), at the sizes ``fast_len`` gives.
@@ -270,18 +270,19 @@ def _band_positions(grid: TorusGrid, points: int) -> np.ndarray:
 
 def synthesize_coeffs(coeffs: np.ndarray, grid: TorusGrid, points: int | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Real values of a stack of real fields at the grid x_j = 2*pi*j/G,
-    written into ``out`` when given (float64, the values' shape).
-
-    ``coeffs`` may have leading axes before the wavenumber cubes; only the
-    k_d >= 0 half of each (Hermitian) cube is read.
-    """
+    """Real values of a stack of real fields (any leading axes before the
+    cubes) at the grid x_j = 2*pi*j/G, written into ``out`` when given
+    (float64, the values' shape); only the k_d >= 0 half of each cube is read."""
     G = points or grid.points_per_axis
-    d, K = grid.dim, grid.half_band
-    if G < grid.modes_per_axis or coeffs.shape[coeffs.ndim - d:] != grid.mode_shape:
+    if G < grid.modes_per_axis or coeffs.shape[coeffs.ndim - grid.dim:] != grid.mode_shape:
         raise ValueError("coefficients must end in the wavenumber cube, points >= M")
-    vals = coeffs[..., K:]
-    for axis in range(-d, -1):      # irfftn's order: c2c on -d..-2, then c2r
+    return _synthesize_half(coeffs[..., grid.half_band:], grid, G, out)
+
+
+def _synthesize_half(vals: np.ndarray, grid: TorusGrid, G: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``synthesize_coeffs`` of the k_d >= 0 halves (..., M, ..., M, K + 1)."""
+    for axis in range(-grid.dim, -1):   # irfftn's order: c2c on -d..-2, then c2r
         # transformed axis outermost in memory: numpy.fft's axis -2 pass 2-3x faster
         shape = list(vals.shape)
         shape[axis], shape[0] = shape[0], G
@@ -308,7 +309,12 @@ def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
         raise ValueError("physical grid coarser than the wavenumber band")
     if np.iscomplexobj(values):
         raise ValueError("physical values must be real")
-    d, K = grid.dim, grid.half_band
+    return _mirror(_analyze_half(values, grid), grid)
+
+
+def _analyze_half(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The k_d >= 0 halves of ``analyze_values``, shape (..., M, ..., M, K + 1)."""
+    d, K, G = grid.dim, grid.half_band, values.shape[-1]
     rev = (slice(None, None, -1),) * (d - 1)    # k -> -k on the leading axes
     # rfftn's order and scaling: r2c on the last axis times 1/G^d, then c2c
     half = np.fft.rfft(values)[..., :K + 1] * (1.0 / G ** d)
@@ -317,8 +323,14 @@ def analyze_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if d > 1:
         zero = half[..., 0]     # make the k_d = 0 plane exactly Hermitian too
         half[..., 0] = 0.5 * (zero + np.conj(zero[(Ellipsis, *rev)]))
-    out = np.empty(values.shape[:lead] + grid.mode_shape, complex)
-    out[..., K:] = half[..., :K + 1]
+    return half
+
+
+def _mirror(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Whole cubes from k_d >= 0 halves: f_{-k} = conj(f_k) for k_d > 0."""
+    K, rev = grid.half_band, (slice(None, None, -1),) * (grid.dim - 1)
+    out = np.empty(half.shape[:-1] + (2 * K + 1,), complex)
+    out[..., K:] = half
     np.conjugate(half[(Ellipsis, *rev, slice(K, 0, -1))], out=out[..., :K])
     return out
 

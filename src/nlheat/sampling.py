@@ -80,9 +80,11 @@ class VarianceProfile:
         small = inside & (r < self.k0)
         out[small] = self.floor
         tail = inside & ~small
-        rt = r[tail]
-        out[tail] = rt ** self.gamma * np.log(rt) ** self.log_theta \
-            * np.log(np.log(rt)) ** self.loglog_eta
+        rt = r[tail]        # x ** 0.0 is exactly 1.0: zero exponents are skipped
+        value = rt ** self.gamma if self.gamma else 1.0
+        log = np.log(rt) if self.log_theta or self.loglog_eta else None
+        value = value * log ** self.log_theta if self.log_theta else value
+        out[tail] = value * np.log(log) ** self.loglog_eta if self.loglog_eta else value
         return out
 
 

@@ -8,12 +8,12 @@ ETD-RK2 scheme of Cox & Matthews (2002) at z = -|k|^2 h:
 
 with phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2.  The stage a is
 an exponential-Euler step, and h phi2 (N(a) - N(u_t)) estimates its error.
+As u is real, every array of the step lives on the k_d >= 0 half cube; a
+snapshot is mirrored into the whole cube.
 
-N(u) is evaluated on the oversampled grid as matrix products over point
-chunks, each chunk's factor arrays within ``besov.BATCH_BYTES`` so that they
-stay in cache.  The result does not depend on the chunk width as long as
-BLAS sums each output column of a matrix product in an order that does not
-depend on the number of columns (OpenBLAS's dgemm does).
+N(u) is evaluated as matrix products over point chunks within ``besov.BATCH_BYTES``;
+the result does not depend on the chunk width as long as BLAS sums each output
+column in an order independent of the number of columns (OpenBLAS's dgemm does).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import besov
 from .besov import besov_norms
-from .field import SpectralField, TorusGrid, analyze_values, synthesize_coeffs
+from .field import (SpectralField, TorusGrid, _analyze_half, _mirror,
+                    _synthesize_half, analyze_values, synthesize_coeffs)
 from .nonlinearity import NonlinearitySpec
 
 
@@ -82,24 +83,19 @@ class Trajectory:
 
 def nonlinear_rhs_coeffs(coeffs: np.ndarray, grid: TorusGrid,
                          spec: NonlinearitySpec) -> tuple[np.ndarray, float]:
-    """Fourier coefficients of B(u, Du) + P(u) and the physical sup of u.
-
-    On the flattened oversampled grid, each non-zero term of ``spec.plan``
-    is one matrix product: its columns times the products of its slot rows
-    of the factor stack F = [u; d_1 u; ...; d_d u].  The products run over
-    equal point chunks, as many as leave the widest factor array within
-    ``besov.BATCH_BYTES``, each added into its slice of one output.  The
-    result is analysed back onto the working band (dealiased for the
-    polynomial degrees actually present).
-    """
-    return _rhs(coeffs, grid, *_layout(spec, grid, len(coeffs)))
+    """Fourier coefficients of B(u, Du) + P(u) and the physical sup of u, from
+    whole cubes through the public transforms: ``_rhs``'s values, bit for bit."""
+    plan, chunks, work, blocks, out, _ = _layout(spec, grid, len(coeffs))
+    for block, ik in zip(blocks, (None, *grid.derivative_multipliers)):
+        synthesize_coeffs(coeffs if ik is None else ik * coeffs, grid, out=block)
+    values, sup_u = _contract_all(plan, chunks, work, blocks, out)
+    return analyze_values(values, grid), sup_u
 
 
 def _layout(spec: NonlinearitySpec, grid: TorusGrid, components: int) -> tuple:
-    """Check ``spec`` against the grid and the field's component count, then
-    lay out its plan: the point slices of the contraction and the arrays
-    that every call reuses, the factor stack F (u, and d_i u when B is
-    present, dim_E rows per block) and the output."""
+    """Check ``spec`` against the grid and the field's component count, then lay
+    out its plan: the contraction's point slices and the arrays every call reuses,
+    the factor stack F (u, and d_i u when B is present), the output, F's halves."""
     if spec.dim != grid.dim:
         raise ValueError("nonlinearity and field dimension mismatch")
     if spec.dim_E != components:
@@ -114,26 +110,37 @@ def _layout(spec: NonlinearitySpec, grid: TorusGrid, components: int) -> tuple:
     # no one-point chunk: BLAS takes it as a matrix-vector product, which
     # sums in another order, so the result would depend on the chunking
     count = max(1, min(-(-n // width), n // 2))
-    blocks = 1 + grid.dim * ("B" in plan)
+    blocks = (1 + grid.dim * ("B" in plan), components)
     return (plan, [slice(j * n // count, (j + 1) * n // count) for j in range(count)],
             np.empty((2, rows, -(-n // count))),
-            np.empty((blocks * components, n)), np.empty((components, n)))
+            np.empty(blocks + (grid.points_per_axis,) * grid.dim), np.empty((components, n)),
+            np.empty(blocks + grid.mode_shape[:-1] + (grid.half_band + 1,), complex))
 
 
-def _rhs(coeffs: np.ndarray, grid: TorusGrid, plan: dict, chunks: list,
-         work: np.ndarray, factors: np.ndarray,
-         out: np.ndarray) -> tuple[np.ndarray, float]:
-    """``nonlinear_rhs_coeffs`` once the spec is checked and laid out."""
-    blocks = factors.reshape((-1, len(coeffs)) + (grid.points_per_axis,) * grid.dim)
-    u = synthesize_coeffs(coeffs, grid, out=blocks[0])  # (nE, G..)
+def _rhs(half: np.ndarray, grid: TorusGrid, plan: dict, chunks: list, work: np.ndarray,
+         blocks: np.ndarray, out: np.ndarray, stack: np.ndarray) -> tuple:
+    """``nonlinear_rhs_coeffs`` on k_d >= 0 half cubes, in and out, once the
+    spec is checked and laid out: ``solve``'s right-hand side."""
+    stack[0] = half
+    for part, ik in zip(stack[1:], grid.derivative_multipliers):
+        np.multiply(ik[..., -half.shape[-1]:], half, out=part)
+    # d = 1: u and every d_i u in one c2r call; d >= 2: per block (2x faster)
+    for part, block in [(stack, blocks)] if grid.dim == 1 else zip(stack, blocks):
+        _synthesize_half(part, grid, grid.points_per_axis, out=block)
+    values, sup_u = _contract_all(plan, chunks, work, blocks, out)
+    return _analyze_half(values, grid), sup_u
+
+
+def _contract_all(plan: dict, chunks: list, work: np.ndarray, blocks: np.ndarray,
+                  out: np.ndarray) -> tuple[np.ndarray, float]:
+    """N(u)'s values from the blocks of the factor stack F = [u; d_1 u; ...; d_d u],
+    chunk by chunk into ``out``, and sup|u|."""
+    u, factors = blocks[0], blocks.reshape(-1, out.shape[1])
     sup_u = float(max(u.max(), -u.min())) if u.size else 0.0
-    # per axis: one stack of 3 nE fields is twice as slow
-    for block, ik in zip(blocks[1:], grid.derivative_multipliers):
-        synthesize_coeffs(ik * coeffs, grid, out=block)
     out.fill(0.0)
     for part in chunks:
         _contract(plan, out[:, part], factors[:, part], work)
-    return analyze_values(out.reshape(u.shape), grid), sup_u
+    return out.reshape(u.shape), sup_u
 
 
 def _contract(plan: dict, out: np.ndarray, factors: np.ndarray,
@@ -153,20 +160,14 @@ def _contract(plan: dict, out: np.ndarray, factors: np.ndarray,
         out += cols @ rows
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    out = np.ones_like(z)
-    nz = z != 0
-    out[nz] = np.expm1(z[nz]) / z[nz]
-    return out
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, 0.5)
-    nz = np.abs(z) > 1e-6
-    out[nz] = (np.expm1(z[nz]) - z[nz]) / z[nz] ** 2
-    small = ~nz & (z != 0)
-    out[small] = 0.5 + z[small] / 6.0 + z[small] ** 2 / 24.0
-    return out
+def _phi(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """h phi1(z) and h phi2(z), phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2,
+    from one expm1: 1 and 1/2 at z = 0, phi2 its Taylor polynomial at |z| <= 1e-6."""
+    em1 = np.expm1(z)
+    phi1 = np.divide(em1, z, out=np.ones_like(z), where=z != 0)
+    phi2 = 0.5 + z / 6.0 + z ** 2 / 24.0
+    np.divide(em1 - z, z ** 2, out=phi2, where=np.abs(z) > 1e-6)
+    return h * phi1, h * phi2
 
 
 #: first controlled step over t_end / steps: at the default tol no first step
@@ -179,27 +180,27 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
           config: SolveConfig) -> Trajectory:
     """Integrate the flow from u0 (real) over [0, t_end].
 
-    With ``config.tol`` None every step is t_end / steps.  Otherwise the
-    first is ``START_FRACTION`` of that, and a step whose error
-    err = max_k |h phi2 (N(a) - N(u_t))| is <= tol is accepted, h then scaled
-    by min(2, max(0.5, 0.9 sqrt(tol/err))); a refused step keeps u_t and
-    N(u_t) and scales h by max(0.2, 0.9 sqrt(tol/err)).  Less than two steps
-    from t_end the rest is split in two, or taken whole if it fits in one; a
-    step that no longer moves t is a blow-up.  The zero mode is recorded at
-    every accepted step, each snapshot at the accepted boundary nearest its
-    requested time (the earlier on a tie), with t = 0 and t_end, once each.
-    Overflow and invalid-value warnings are silenced: a non-finite sup|u| or
-    step is recorded as a blow-up.
+    With ``config.tol`` None every step is t_end / steps.  Otherwise the first
+    is ``START_FRACTION`` of that, and a step whose error err = max_k |h phi2
+    (N(a) - N(u_t))| is <= tol is accepted, h then scaled by min(2, max(0.5,
+    0.9 sqrt(tol/err))); a refused step keeps u_t and N(u_t) and scales h by
+    max(0.2, 0.9 sqrt(tol/err)).  Less than two steps from t_end the rest is
+    split in two, or taken whole if it fits in one; a step that no longer moves
+    t is a blow-up.  The zero mode is recorded at every accepted step, each
+    snapshot at the accepted boundary nearest its requested time (the earlier
+    on a tie), with t = 0 and t_end, once each.  Overflow and invalid-value
+    warnings are silenced: a non-finite sup|u| or step is a blow-up.
     """
     grid = u0.grid
     u0.require_real()
     layout = _layout(spec, grid, len(u0.coeffs))
-    t_end, tol, k2 = config.t_end, config.tol, grid.k_squared
+    t_end, tol, K = config.t_end, config.tol, grid.half_band
+    k2, zero = grid.k_squared[..., K:], grid.zero_mode_index[:-1] + (0,)
     h = t_end / config.steps * (1.0 if tol is None else START_FRACTION)
     pending = sorted(min(max(s, 0.0), t_end) for s in (*config.snapshot_times, t_end))
-    u = u0.coeffs.copy()                # never written in place from here
-    times, fields = [0.0], [SpectralField(grid, u)]
-    zt, zpath = [0.0], [u[grid.zero_mode_index].real.copy()]
+    u = u0.coeffs[..., K:]              # k_d >= 0 half; never written in place
+    times, fields = [0.0], [SpectralField(grid, u0.coeffs.copy())]
+    zt, zpath = [0.0], [u[zero].real.copy()]
     n0, sup_u = _rhs(u, grid, *layout)
     status, sups, rejected, h_min = "completed", [sup_u], 0, h
     t, h_phi, last = 0.0, None, False
@@ -215,7 +216,7 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
             h = left if last else min(h, left / 2)
         if h != h_phi:
             h_phi, z = h, -k2 * h
-            decay, hphi1, hphi2 = np.exp(z), h * _phi1(z), h * _phi2(z)
+            decay, (hphi1, hphi2) = np.exp(z), _phi(z, h)
         h_min = min(h_min, h)
         stage = decay * u + hphi1 * n0
         n1, sup_stage = _rhs(stage, grid, *layout)
@@ -236,13 +237,13 @@ def solve(u0: SpectralField, spec: NonlinearitySpec,
             status = "blewup"
             break
         zt.append(t)
-        zpath.append(u[grid.zero_mode_index].real.copy())
+        zpath.append(u[zero].real.copy())
         while pending and (pending[0] <= t or last):
             s = pending.pop(0)
             t_s, u_s = (t_prev, u_prev) if s - t_prev <= t - s else (t, u)
             if t_s != times[-1]:
                 times.append(t_s)
-                fields.append(SpectralField(grid, u_s))
+                fields.append(SpectralField(grid, _mirror(u_s, grid)))
         if not last:
             n0, sup_u = _rhs(u, grid, *layout)
             sups.append(sup_u)

@@ -91,9 +91,13 @@ class TestVarianceProfile:
     @pytest.mark.parametrize("profile", [
         VarianceProfile.white(2048), VarianceProfile("power", 2048, gamma=-1.0),
         VarianceProfile("power", 2048, gamma=-2.0),
-        *(VarianceProfile.of_kind("powerlog", d, 2048) for d in (1, 2, 3))],
+        *(VarianceProfile.of_kind("powerlog", d, 2048) for d in (1, 2, 3)),
+        # a zero exponent's factor is skipped, the others still multiply
+        VarianceProfile.of_kind("powerlog", 2, 2048, log_theta=0.0),
+        VarianceProfile.of_kind("powerlog", 1, 2048, loglog_eta=0.0),
+        VarianceProfile.of_kind("powerlog", 2, 2048, log_theta=0.5, loglog_eta=0.0)],
         ids=["white", "power-1", "power-2", "powerlog-d1", "powerlog-d2",
-             "powerlog-d3"])
+             "powerlog-d3", "powerlog-theta0", "powerlog-eta0", "powerlog-d2-eta0"])
     def test_one_formula_matches_the_per_kind_formulas_bit_for_bit(self, profile):
         r2 = np.arange(0.0, 3 * 2048 ** 2, 7.0)
         assert profile.sigma2_from_r2(r2).tobytes() == \

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from nlheat.besov import besov_norms
-from nlheat.field import SpectralField, TorusGrid
+from nlheat.field import SpectralField, TorusGrid, dealias_points
 from nlheat.nonlinearity import NonlinearitySpec, preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
-from nlheat.solver import (SolveConfig, _phi1, _phi2, nonlinear_rhs_coeffs,
+from nlheat.solver import (SolveConfig, _phi, nonlinear_rhs_coeffs,
                            remainder_norms, solve)
 
-from spec_helpers import evaluate_rhs_nonlinear, permuted, picard_nonlinearity
+from spec_helpers import (evaluate_rhs_nonlinear, full_cube_solve, permuted,
+                          phi1_reference, phi2_reference, picard_nonlinearity)
 
 
 def zero_spec(dim, dim_E):
@@ -120,7 +121,7 @@ class TestConsistency:
         cfg = SolveConfig(20 * 0.5 / 64 ** 2, 20)
         h = cfg.t_end / cfg.steps
         z = -grid.k_squared * h
-        decay, phi1, phi2 = np.exp(z), _phi1(z), _phi2(z)
+        decay, phi1, phi2 = np.exp(z), phi1_reference(z), phi2_reference(z)
         u, path = u0.coeffs.copy(), [u0.coeffs[:, grid.half_band].real]
         for _ in range(cfg.steps):
             n0, _ = nonlinear_rhs_coeffs(u, grid, spec)
@@ -131,6 +132,59 @@ class TestConsistency:
         traj = solve(u0, spec, cfg)
         assert traj.status == "completed"
         assert np.array_equal(traj.zero_mode_path, np.array(path))
+
+    def test_one_expm1_phi_equals_masked_references(self):
+        # h phi1 and h phi2 at z = -|k|^2 h on the grids of the solves, and
+        # at z = 0, either side of the Taylor switch |z| = 1e-6 and beyond
+        edge = np.nextafter(1e-6, 1.0)
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-7, -5e-7, 1e-6, -1e-6,
+                            edge, -edge, 2e-6, -2e-6, 1e-3, -1.0, 1.0, -40.0, -800.0])
+        cases = [(special, 1.0)] + [(-grid.k_squared[..., grid.half_band:] * h, h)
+                                    for grid in (TorusGrid(1, 2049), TorusGrid(2, 17),
+                                                 TorusGrid(3, 9))
+                                    for h in (1e-7, 2.4e-7, 1e-4, 0.3)]
+        assert any(np.any((z != 0) & (np.abs(z) <= 1e-6)) for z, _ in cases[1:])
+        for z, h in cases:
+            hphi1, hphi2 = _phi(z, h)
+            assert np.array_equal(hphi1, h * phi1_reference(z))
+            assert np.array_equal(hphi2, h * phi2_reference(z))
+        phi1, phi2 = _phi(special, 1.0)
+        assert phi1[0] == phi1[1] == 1.0 and phi2[0] == phi2[1] == 0.5
+
+    @pytest.mark.parametrize("case", ["d1-controlled", "d1-fixed", "d1-blowup",
+                                      "d2-dymh", "d3-dym"])
+    def test_half_cube_solve_is_bit_identical_to_full_cube_loop(self, case):
+        """``solve`` steps the k_d >= 0 half cube and mirrors each snapshot;
+        the reference steps the whole cube, the k_d < 0 half included."""
+        name, dim, modes, scale = {
+            "d1-controlled": ("antisym2", 1, 129, 1.0),
+            "d1-fixed": ("antisym2", 1, 129, 1.0),
+            "d2-dymh": ("dymh", 2, 9, 0.3),
+            "d3-dym": ("dym", 3, 7, 0.3)}.get(case, (None, 1, 5, 0.0))
+        if name:
+            spec = preset(name, dim)
+            grid = TorusGrid(dim, modes, dealias_points(modes, spec.has_cubic(), dim))
+            u0 = random_real(grid, spec.dim_E, seed=dim)
+            u0 = SpectralField(grid, scale * u0.coeffs)
+        else:   # du/dt = u^2 from 1e160: every stage overflows, h shrinks to 0
+            spec = NonlinearitySpec.from_parts(1, 1, p2=np.ones((1, 1, 1)))
+            u0 = SpectralField.constant(TorusGrid(1, 5), [1e160])
+        t_end = 0.02 if dim == 1 else 0.1
+        cfg = SolveConfig(t_end, 8, snapshot_times=(0.3 * t_end, 0.6 * t_end),
+                          blowup_threshold=math.inf if name is None else 1e8,
+                          tol=None if case == "d1-fixed" else 1e-3)
+        got, want = solve(u0, spec, cfg), full_cube_solve(u0, spec, cfg)
+        assert got.status == want.status
+        assert (got.status == "blewup") == (name is None)
+        assert got.blowup_time == want.blowup_time and got.times == want.times
+        assert np.array_equal(got.zero_mode_times, want.zero_mode_times)
+        assert np.array_equal(got.zero_mode_path, want.zero_mode_path)
+        assert (got.sup_max, got.steps, got.rejected, got.h_min) \
+            == (want.sup_max, want.steps, want.rejected, want.h_min)
+        assert len(got.fields) == len(want.fields) >= 1 + (got.status == "completed")
+        for a, b in zip(got.fields, want.fields):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.reality_defect() == 0
 
     def test_zero_mode_ode(self):
         """Finite-difference derivative of the zero-mode path equals the

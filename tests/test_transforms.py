@@ -10,7 +10,7 @@ from scipy import fft as sfft
 
 from nlheat import besov, solver
 from nlheat.besov import DyadicPartition, besov_norms
-from nlheat.field import (SpectralField, TorusGrid, analyze_values,
+from nlheat.field import (SpectralField, TorusGrid, _mirror, analyze_values,
                           dealias_points, synthesize_coeffs, synthesize_real)
 from nlheat.nonlinearity import preset
 from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
@@ -38,16 +38,30 @@ def _into(values, out):
     return out
 
 
-def irfftn_synthesize(coeffs, grid, points=None, out=None):
-    """Synthesis before band pruning: the k_d >= 0 half cube scattered into
+def irfftn_synthesize_half(half, grid, G, out=None):
+    """Synthesis before band pruning, of k_d >= 0 half cubes: scattered into
     a zero (G,)*(d-1) + (K+1,) array, then one ``irfftn`` (d >= 2)."""
-    G = points or grid.points_per_axis
     d, K = grid.dim, grid.half_band
-    half = np.zeros(coeffs.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
+    pad = np.zeros(half.shape[:-d] + (G,) * (d - 1) + (K + 1,), complex)
     band = np.ix_(*[grid.wavenumbers % G] * (d - 1))
-    half[(Ellipsis, *band, slice(None))] = coeffs[..., K:]
-    return _into(sfft.irfftn(half, s=(G,) * d, axes=tuple(range(-d, 0)),
+    pad[(Ellipsis, *band, slice(None))] = half
+    return _into(sfft.irfftn(pad, s=(G,) * d, axes=tuple(range(-d, 0)),
                              norm="forward"), out)
+
+
+def irfftn_synthesize(coeffs, grid, points=None):
+    return irfftn_synthesize_half(coeffs[..., grid.half_band:], grid,
+                                  points or grid.points_per_axis)
+
+
+def counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
 
 
 def ref_analyze(values, grid):
@@ -137,10 +151,14 @@ def test_dym_solve_is_bit_identical_to_irfftn_and_one_chunk(monkeypatch):
                                                   (spec.dim_E,), grid))
     config = solver.SolveConfig(t_end=0.02, steps=6, snapshot_times=(0.01,))
     new = solver.solve(u0, spec, config)
-    monkeypatch.setattr(solver, "synthesize_coeffs", irfftn_synthesize)
+    calls = {}
+    monkeypatch.setattr(solver, "_synthesize_half",
+                        counting(calls, "synthesis", irfftn_synthesize_half))
     monkeypatch.setattr(besov, "BATCH_BYTES", 2 ** 40)
     old = solver.solve(u0, spec, config)
     assert new.status == old.status == "completed" and new.steps == 6
+    # u and its 3 derivatives per right-hand side, 2 per step but the last
+    assert calls == {"synthesis": 4 * 2 * new.steps}
     assert np.array_equal(new.zero_mode_path, old.zero_mode_path)
     assert new.sup_max == old.sup_max
     assert new.times == old.times and len(new.fields) == 3
@@ -167,10 +185,21 @@ def test_multipliers_are_cached_and_read_only():
 
 
 def _patch_reference(monkeypatch):
-    monkeypatch.setattr(solver, "synthesize_coeffs",
-                        lambda c, g, points=None, out=None:
-                        _into(ref_synthesize(c, g, points).real, out))
-    monkeypatch.setattr(solver, "analyze_values", ref_analyze)
+    """Swap the complex path in for every transform the solver module calls:
+    the whole-cube ones of ``nonlinear_rhs_coeffs`` and the half-cube cores
+    of ``_rhs``; returns their call counts."""
+    def synthesize_half(half, grid, points, out=None):
+        full = _mirror(half, grid)
+        return _into(ref_synthesize(full, grid, points).real, out)
+
+    calls = {}
+    for name, fn in [("synthesize_coeffs", lambda c, g, points=None, out=None:
+                      _into(ref_synthesize(c, g, points).real, out)),
+                     ("analyze_values", ref_analyze),
+                     ("_synthesize_half", synthesize_half),
+                     ("_analyze_half", lambda v, g: ref_analyze(v, g)[..., g.half_band:])]:
+        monkeypatch.setattr(solver, name, counting(calls, name, fn))
+    return calls
 
 
 def test_solve_matches_complex_path(monkeypatch):
@@ -181,9 +210,12 @@ def test_solve_matches_complex_path(monkeypatch):
         [sample_real_gfs(prof, grid, stream(5, 0, c)) for c in range(2)])
     config = solver.SolveConfig(t_end=20 * 0.5 / 64 ** 2, steps=20)
     new = solver.solve(u0, spec, config)
-    _patch_reference(monkeypatch)
+    calls = _patch_reference(monkeypatch)
     old = solver.solve(u0, spec, config)
     assert new.status == old.status == "completed"
+    # d = 1: u and d_1 u in one synthesis, 2 right-hand sides per step but the last
+    assert calls == {"synthesize_coeffs": 0, "analyze_values": 0,
+                     "_synthesize_half": 2 * new.steps, "_analyze_half": 2 * new.steps}
     assert rel_err(new.zero_mode_path, old.zero_mode_path) <= RTOL
     assert rel_err(new.fields[-1].coeffs, old.fields[-1].coeffs) <= RTOL
 
@@ -192,11 +224,18 @@ def test_dym_rhs_matches_complex_path(monkeypatch):
     spec = preset("dym", 3)
     grid = TorusGrid(3, 9, dealias_points(9, cubic=True, dim=3))
     coeffs = random_coeffs(np.random.default_rng(3), (spec.dim_E,), grid)
+    half, layout = coeffs[..., grid.half_band:], solver._layout(spec, grid, spec.dim_E)
     new, new_sup = solver.nonlinear_rhs_coeffs(coeffs, grid, spec)
-    _patch_reference(monkeypatch)
+    new_half, new_half_sup = solver._rhs(half, grid, *layout)
+    calls = _patch_reference(monkeypatch)
     old, old_sup = solver.nonlinear_rhs_coeffs(coeffs, grid, spec)
-    assert rel_err(new, old) <= RTOL
+    old_half, old_half_sup = solver._rhs(half, grid, *layout)
+    assert calls == {"synthesize_coeffs": 4, "analyze_values": 1,
+                     "_synthesize_half": 4, "_analyze_half": 1}
+    assert rel_err(new, old) <= RTOL and rel_err(new_half, old_half) <= RTOL
     assert abs(new_sup - old_sup) <= RTOL * old_sup
+    assert abs(new_half_sup - old_half_sup) <= RTOL * old_half_sup
+    assert np.array_equal(new[..., grid.half_band:], new_half) and new_sup == new_half_sup
 
 
 # -- non-real input is rejected -----------------------------------------------

@@ -13,7 +13,9 @@
 #     and on a d = 2 dymh white N = 4 config;
 #   - a fixed-step (solver.tol: null) solve at d = 1;
 #   - a d = 2 powerlog tables run with --threads 2;
-#   - an inflate run with a vector base and epsilon 0.5.
+#   - an inflate run with a vector base and epsilon 0.5;
+#   - a d = 1 antisym2 inflate run at radii 2048 and 4096, 1 trial: the long
+#     d = 1 lines of the large-N sweeps.
 # Each run leaves its output directory, stdout, stderr and exit code under
 # OUT/parent or OUT/change; the extra configs go to OUT/configs. Nothing is
 # written outside OUT (bytecode writing is off). Then `diff -r` compares the
@@ -79,6 +81,14 @@ nonlinearity: {preset: antisym2}
 experiment: {radii: [16, 32], trials: 2, log_exponent: 3, epsilon: 0.5,
              base: [0.25, -0.5]}
 EOF
+cat > "$configs/large-n-inflate.yaml" <<'EOF'
+kind: inflate
+seed: 7
+grid: {dim: 1}
+profile: {kind: white}
+nonlinearity: {preset: antisym2}
+experiment: {radii: [2048, 4096], trials: 1, log_exponent: 4}
+EOF
 
 # run SIDE TREE NAME ARGS...: one nlheat command, from OUT/SIDE
 run() {
@@ -102,7 +112,7 @@ for side in parent change; do
     done
     run "$side" "$tree" identities identities --seed 5
     for name in dym-d3-sample dym-d3-solve dymh-d2-sample dymh-d2-solve \
-            fixed-step-solve base-inflate; do
+            fixed-step-solve base-inflate large-n-inflate; do
         kind=$(sed -n 's/^kind: *//p' "$configs/$name.yaml")
         run "$side" "$tree" "$name" "$kind" --config "$configs/$name.yaml" \
             --threads 1 --out "runs/$name"
