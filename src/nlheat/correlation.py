@@ -61,9 +61,9 @@ class ParameterSet:
         return self
 
 
-def geometric_grid(t_max: float, t_min: float,
-                   per_decade: int = 40) -> np.ndarray:
-    """Geometric time grid from t_max down to ~t_min, ascending order."""
+def geometric_grid(t_max: float, t_min: float, per_decade: int) -> np.ndarray:
+    """Geometric time grid from t_max down to ~t_min, ascending order, with
+    ``per_decade`` points per decade."""
     if not 0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
     decades = math.log10(t_max / t_min)
@@ -119,28 +119,22 @@ def _sum_over_t(t, s, w, kernel) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def _lattice_sum(profile: VarianceProfile, dim: int, t, radius, kernel):
-    """``_sum_over_t`` over the weight table, for |n| <= radius (the cutoff)."""
-    N = int(radius if radius is not None else math.floor(profile.cutoff + 1e-9))
-    return _sum_over_t(t, *mode_weight_table(profile, dim, N), kernel)
-
-
 def _decay_sum(ts, s, w):
     return np.exp(-2.0 * ts) @ w
 
 
 def expected_Zt(profile: VarianceProfile, dim: int, t,
-                radius: int | None = None) -> np.ndarray | float:
-    """E Z_t = sum_{n_1>0, |n|<=N} 2 exp(-2 n^2 t) n_1 sigma^2(n), exact."""
-    return _lattice_sum(profile, dim, t, radius, _decay_sum)
+                radius: int) -> np.ndarray | float:
+    """E Z_t = sum_{n_1>0, |n|<=radius} 2 exp(-2 n^2 t) n_1 sigma^2(n), exact."""
+    return _sum_over_t(t, *mode_weight_table(profile, dim, radius), _decay_sum)
 
 
 def drift_scalar(profile: VarianceProfile, dim: int, t,
-                 radius: int | None = None) -> np.ndarray | float:
-    """Exact per-mode time integral of E Z:
+                 radius: int) -> np.ndarray | float:
+    """Exact per-mode time integral of E Z over |n| <= radius:
     sum 2 n_1 sigma^2(n) (1 - exp(-2 n^2 t)) / (2 n^2)."""
-    return _lattice_sum(profile, dim, t, radius,
-                        lambda ts, s, w: -np.expm1(-2.0 * ts) @ (w / (2.0 * s)))
+    return _sum_over_t(t, *mode_weight_table(profile, dim, radius),
+                       lambda ts, s, w: -np.expm1(-2.0 * ts) @ (w / (2.0 * s)))
 
 
 def compute_Zt(field: SpectralField, t) -> np.ndarray | float:
@@ -246,28 +240,38 @@ def weighted_drift_integral(profile: VarianceProfile, dim: int, N: int,
     return float(np.sum(w * (t - s) ** a * mag ** p * s ** b))
 
 
+def it_lower_envelope(N: int, t: np.ndarray) -> tuple[list, list]:
+    """The indices of the t in (N^-2, 1) at which ``verify_It_bounds`` checks
+    |I_t| from below, and its lower envelope log log log N - log log log(1/t)
+    there, by ``math.log`` per t: the t where that exceeds 0.05. There is none
+    at N <= 17, where log log log N <= 0.05."""
+    lll = math.log(math.log(math.log(N))) if math.log(math.log(N)) > 1 else -math.inf
+    adm, low = [], []
+    for i in np.flatnonzero((t > 1.0 / N ** 2) & (t < 1.0)):
+        inner = math.log(math.log(1.0 / t[i]))
+        if inner > 1.0 and (env := lll - math.log(inner)) > 0.05:
+            adm.append(i)
+            low.append(env)
+    return adm, low
+
+
 def verify_It_bounds(profile_for_N, dim: int, direction, radii,
                      t_grid) -> BoundReport:
     """Envelope check for |I_t| plus the weighted-integral bound.
 
-    Upper: |I_t| / [(N^2 t) min 1 + log((N^2 t) max 1)].  Lower: on
-    t > N^{-2}, |I_t| against log log log N - log log log(1/t).  The
+    Upper: |I_t| / [(N^2 t) min 1 + log((N^2 t) max 1)].  Lower: on the t of
+    ``it_lower_envelope``, |I_t| against log log log N - log log log(1/t).  The
     integral check compares integral (t-s)^a |I_s|^p s^b ds with
     t^{a+b+1} (log N)^p at t = max(t_grid) for each ``INTEGRAL_EXPONENTS``
     (a, b, p).  Passes on ``_envelope_report``'s rule and ``INTEGRAL_SPREAD_MAX``.
     """
     t, direction = np.asarray(t_grid, dtype=float), np.asarray(direction, dtype=float)
 
-    def envelopes(N):       # the lower one by math.log per t, where it exceeds 0.05
-        lll = math.log(math.log(math.log(N))) if math.log(math.log(N)) > 1 else -math.inf
-        adm, low, x = [], [], float(N) ** 2 * t
-        for i in np.flatnonzero((t > 1.0 / N ** 2) & (t < 1.0)):
-            inner = math.log(math.log(1.0 / t[i]))
-            if inner > 1.0 and (env := lll - math.log(inner)) > 0.05:
-                adm.append(i)
-                low.append(env)
+    def envelopes(N):
+        x = float(N) ** 2 * t
         mag = np.abs(drift_scalar(profile_for_N(N), dim, t, N)) * np.linalg.norm(direction)
-        return mag, np.minimum(x, 1.0) + np.log(np.maximum(x, 1.0)), adm, low
+        return mag, np.minimum(x, 1.0) + np.log(np.maximum(x, 1.0)), \
+            *it_lower_envelope(N, t)
 
     rep = _envelope_report(radii, envelopes)
     t_top = float(t.max())
@@ -282,10 +286,11 @@ def verify_It_bounds(profile_for_N, dim: int, direction, radii,
 
 # -- moment experiments --------------------------------------------------------
 
-def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
-                           delta: float, beta: float, t_grid,
-                           remove_mean: bool = True, decay=None) -> float:
-    """sup over the grid of t^delta |pi_0(P_t X d_axis P_t Y)|_{C^beta}.
+def decorrelated_statistic(X: SpectralField, Y: SpectralField, delta: float,
+                           beta: float, t_grid, remove_mean: bool = True,
+                           decay=None) -> float:
+    """sup over the grid of t^delta |pi_0(P_t X d_1 P_t Y)|_{C^beta}: d_1 is the
+    derivative the rotation R of Y = RX pairs with.
 
     With ``remove_mean`` False the zero mode is kept (only meaningful for
     independent pairs, or as a positive control for the resonant mean).
@@ -295,7 +300,7 @@ def decorrelated_statistic(X: SpectralField, Y: SpectralField, axis: int,
     t_grid = np.asarray(t_grid, dtype=float)
     decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared)) if decay is None else decay
     xa = X.coeffs[0][None] * decay
-    yb = (Y.derivative(axis).coeffs[0])[None] * decay
+    yb = (Y.derivative(0).coeffs[0])[None] * decay
     prod = synthesize_coeffs(xa, grid) * synthesize_coeffs(yb, grid)
     coeffs = analyze_values(prod, grid)                          # (T, M..)
     if remove_mean:
@@ -369,7 +374,7 @@ def moment_experiment_decorrelated(profile_for_N, dim: int, params: ParameterSet
     def statistic(t_grid, grid):
         decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
         return lambda X, N: decorrelated_statistic(
-            X, X.rotate(), 0, params.delta, params.beta, t_grid, remove_mean, decay)
+            X, X.rotate(), params.delta, params.beta, t_grid, remove_mean, decay)
     return _coupled_trend(profile_for_N, dim, params, trials, radii, master_seed,
                           statistic)
 

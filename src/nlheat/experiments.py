@@ -19,8 +19,8 @@ import numpy as np
 
 from .besov import DyadicPartition, besov_norms
 from .correlation import (ParameterSet, _spread, drift_scalar, geometric_grid,
-                          moment_experiment_decorrelated, moment_experiment_Z,
-                          verify_EZt_bounds, verify_It_bounds)
+                          it_lower_envelope, moment_experiment_decorrelated,
+                          moment_experiment_Z, verify_EZt_bounds, verify_It_bounds)
 from .field import SpectralField, TorusGrid, dealias_points
 from .nonlinearity import NonlinearitySpec, asymmetry_witness, drift_direction, preset
 from .sampling import GfsSpec, VarianceProfile, rotated_copy, sample_E_valued, \
@@ -115,8 +115,10 @@ class ExperimentConfig:
         seed = _typed("seed", doc.get("seed"), int)
         threads = _typed("threads", doc.get("threads", 1), int)
         exp, radii = sec["experiment"], sec["experiment"]["radii"] or [0]
-        solver = sec["solver"]
+        solver, algebra = sec["solver"], sec["nonlinearity"]["algebra"]
         for where, value, ok, need in (
+                ("nonlinearity.algebra", algebra,
+                 isinstance(algebra, str) and algebra == "so3", "so3"),
                 ("seed", seed, seed >= 0, ">= 0"),
                 ("threads", threads, threads >= 1, ">= 1"),
                 ("grid.dim", sec["grid"]["dim"], sec["grid"]["dim"] >= 1, ">= 1"),
@@ -124,6 +126,7 @@ class ExperimentConfig:
                  min(radii) >= 2 and _increasing(radii),
                  "a non-empty, strictly increasing list of radii >= 2"),
                 ("experiment.trials", exp["trials"], exp["trials"] >= 1, ">= 1"),
+                ("experiment.epsilon", exp["epsilon"], exp["epsilon"] > 0, "> 0"),
                 ("experiment.q", exp["q"], exp["q"] >= 1, ">= 1"),
                 ("solver.step_factor", solver["step_factor"],
                  solver["step_factor"] > 0, "> 0"),
@@ -135,6 +138,8 @@ class ExperimentConfig:
                  ">= 0"),
                 ("experiment.t_min", exp["t_min"], 0 < exp["t_min"] < exp["t_max"],
                  f"> 0 and < experiment.t_max = {exp['t_max']!r}"),
+                ("experiment.per_decade", exp["per_decade"], exp["per_decade"] >= 1,
+                 ">= 1"),
                 ("experiment.reference_radius", exp["reference_radius"],
                  doc["kind"] != "besov" or max(radii) < exp["reference_radius"],
                  "above every besov radius")):
@@ -165,6 +170,12 @@ class ExperimentConfig:
         built("experiment.base", lambda: cfg.base_point(nl.dim_E))
         if cfg.kind in ("inflate", "perturb") and asymmetry_witness(nl) is None:
             raise ConfigError("nonlinearity has symmetric B: no asymmetry witness")
+        if cfg.kind == "tables" and not any(
+                it_lower_envelope(N, cfg.t_grid())[0] for N in radii):
+            raise ConfigError(
+                "experiment.radii must hold a radius with a lower |I_t| check on the "
+                "t grid of t_min, t_max and per_decade (no radius <= 17 has one), "
+                f"got {exp['radii']!r}")
         return cfg
 
     @classmethod
@@ -193,11 +204,15 @@ class ExperimentConfig:
         return x
 
     def nonlinearity_spec(self) -> NonlinearitySpec:
-        return preset(self.nonlinearity["preset"], self.dim,
-                      self.nonlinearity["algebra"])
+        return preset(self.nonlinearity["preset"], self.dim)
 
     def parameter_set(self) -> ParameterSet:
         return ParameterSet(**self.params).check_dim(self.dim)
+
+    def t_grid(self) -> np.ndarray:
+        """The time grid of the ``tables`` envelope checks."""
+        exp = self.experiment
+        return geometric_grid(exp["t_max"], exp["t_min"], exp["per_decade"])
 
     def radii(self) -> list:
         return list(self.experiment["radii"])
@@ -216,18 +231,13 @@ class ExperimentConfig:
 
 # -- trial workers (top level for process pools) -------------------------------
 
-def _trial_grid(cfg: ExperimentConfig, radius: int,
-                nl: NonlinearitySpec) -> TorusGrid:
-    M = 2 * radius + 1
-    return TorusGrid(cfg.dim, M, dealias_points(M, nl.has_cubic(), cfg.dim))
-
-
 def trial_data(cfg: ExperimentConfig, nl: NonlinearitySpec, radius: int,
                trial: int):
     """Grid, variance profile, X and the adversarial and control Y of one
     (radius, trial): X on streams 0..nc-1 and the control Y on nc..2nc-1,
     each drawn once; the adversarial Y is the control with Y^b := R X^a."""
-    grid = _trial_grid(cfg, radius, nl)
+    M = 2 * radius + 1
+    grid = TorusGrid(cfg.dim, M, dealias_points(M, nl.has_cubic(), cfg.dim))
     prof = cfg.profile_for(radius)
     spec, nc = GfsSpec.uniform(grid, prof, nl.dim_E), nl.dim_E
     X, Y = (sample_E_valued(spec, [stream(cfg.seed, trial, first + c) for c in range(nc)])
@@ -459,8 +469,7 @@ def run_tables(cfg: ExperimentConfig, out_dir=None) -> dict:
     flags. The two moment experiments run as two tasks, in two processes
     when ``threads`` > 1.
     """
-    exp, radii = cfg.experiment, cfg.radii()
-    t_grid = geometric_grid(exp["t_max"], exp["t_min"], exp["per_decade"])
+    exp, radii, t_grid = cfg.experiment, cfg.radii(), cfg.t_grid()
     log_corrected = cfg.profile["kind"] == "powerlog"
 
     ez = verify_EZt_bounds(cfg.profile_for, cfg.dim, radii, t_grid,

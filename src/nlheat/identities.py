@@ -33,8 +33,8 @@ class IdentityResult:
         return self.defect <= self.tol
 
 
-def run_identity_suite(seed: int = 7, dim: int = 2) -> list:
-    """All exact identities on random band-limited fields."""
+def run_identity_suite(seed: int, dim: int) -> list:
+    """All exact identities on random band-limited fields in dimension ``dim``."""
     grid = TorusGrid(dim, 9)
     spec = GfsSpec.uniform(grid, VarianceProfile.white(grid.half_band), 1)
     f, g = (sample_E_valued(spec, [stream(s, 0)]) for s in (seed, seed + 1))

@@ -174,12 +174,10 @@ def _gauge_flow(dim: int, higgs: bool) -> NonlinearitySpec:
                                        p3=p3.reshape(n, n, n, n))
 
 
-def preset(name: str, dim: int | None = None, algebra="so3") -> NonlinearitySpec:
+def preset(name: str, dim: int | None = None) -> NonlinearitySpec:
     """Named nonlinearity presets: ``antisym2``, the minimal asymmetric
     instance dim_E = 2, B_1(x, y) = (x1 y2 - x2 y1) T^1, and the gauge flows
-    ``dym`` and ``dymh`` of ``_gauge_flow``. The one ``algebra`` is so3."""
-    if not (isinstance(algebra, str) and algebra == "so3"):
-        raise ValueError(f"unknown Lie algebra {algebra!r}")
+    ``dym`` and ``dymh`` of ``_gauge_flow``, over so(3), the one Lie algebra."""
     if name == "antisym2":
         B = np.zeros((dim or 1, 2, 2, 2))
         B[0, 0, 0, 1], B[0, 0, 1, 0] = 1.0, -1.0

@@ -260,7 +260,7 @@ def test_criterion_10_determinism(tmp_path):
         "kind": "tables", "seed": SEED, "grid": {"dim": 1},
         "profile": {"kind": "white"},
         "nonlinearity": {"preset": "antisym2"},
-        "experiment": {"radii": [8, 16], "trials": 6,
+        "experiment": {"radii": [8, 32], "trials": 6,
                        "t_min": 1e-3, "t_max": 1e-1},
     }
     res = {}

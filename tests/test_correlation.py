@@ -51,7 +51,7 @@ class TestExactSums:
     def test_white_d1_closed_form(self):
         # d = 1, sigma^2 = 1, N = 2, t = 0: 2*1 + 2*2 = 6
         prof = VarianceProfile.white(2)
-        assert expected_Zt(prof, 1, 0.0) == 6.0
+        assert expected_Zt(prof, 1, 0.0, 2) == 6.0
 
     def test_single_conjugate_pair(self):
         # X_1 = X_{-1} = 1 in d = 1: Z_t = 2 e^{-2t}
@@ -73,8 +73,8 @@ class TestExactSums:
     def test_negative_time_is_refused_by_every_t_sum(self, t):
         prof, grid = VarianceProfile.white(4), TorusGrid(1, 9)
         X = sample_real_gfs(prof, grid, stream(3, 0))
-        for total in (lambda: compute_Zt(X, t), lambda: expected_Zt(prof, 1, t),
-                      lambda: drift_scalar(prof, 1, t)):
+        for total in (lambda: compute_Zt(X, t), lambda: expected_Zt(prof, 1, t, 4),
+                      lambda: drift_scalar(prof, 1, t, 4)):
             with pytest.raises(ValueError, match="t must be >= 0"):
                 total()
 
@@ -106,7 +106,7 @@ class TestExactSums:
                     if n1 > 0 and r2 <= 25:
                         direct += 2 * n1 * math.exp(-2 * r2 * t) \
                             * prof.sigma2_from_r2(np.array(float(r2)))
-        got = expected_Zt(prof, 3, t)
+        got = expected_Zt(prof, 3, t, 5)
         assert abs(got - direct) < 1e-12 * (1 + direct)
 
     @pytest.mark.parametrize("dim, radius", [(1, 1), (1, 7), (2, 4), (2, 6),
@@ -141,7 +141,7 @@ class TestExactSums:
     def test_monotone_decreasing_convex(self):
         prof = VarianceProfile.white(8)
         t = np.linspace(0.0, 1.0, 50)
-        ez = expected_Zt(prof, 1, t)
+        ez = expected_Zt(prof, 1, t, 8)
         d1 = np.diff(ez)
         assert np.all(d1 < 0)
         assert np.all(np.diff(d1) > 0)
@@ -163,25 +163,25 @@ class TestExactSums:
 class TestDrift:
     def test_zero_at_time_zero(self):
         prof = VarianceProfile.white(4)
-        assert drift_scalar(prof, 1, 0.0) == 0.0
+        assert drift_scalar(prof, 1, 0.0, 4) == 0.0
 
     def test_one_mode_limit(self):
         # single shell |n| = 1, sigma^2 = 1: I_infty = direction * 1 in d = 1
         prof = VarianceProfile.white(1)
         direction = np.array([3.0, -1.0])
-        I = drift_scalar(prof, 1, 50.0) * direction
+        I = drift_scalar(prof, 1, 50.0, 1) * direction
         assert np.max(np.abs(I - direction)) < 1e-12
 
     def test_derivative_is_expected_Z(self):
         prof = VarianceProfile.white(8)
         t, h = 0.05, 1e-6
-        fd = (drift_scalar(prof, 1, t + h) - drift_scalar(prof, 1, t - h)) / (2 * h)
-        assert abs(fd - expected_Zt(prof, 1, t)) < 1e-4 * expected_Zt(prof, 1, t)
+        fd = (drift_scalar(prof, 1, t + h, 8) - drift_scalar(prof, 1, t - h, 8)) / (2 * h)
+        assert abs(fd - expected_Zt(prof, 1, t, 8)) < 1e-4 * expected_Zt(prof, 1, t, 8)
 
     def test_magnitude_nondecreasing(self):
         prof = VarianceProfile("power", 16, gamma=-1.0)
         t = np.linspace(0.0, 0.5, 40)
-        mags = drift_scalar(prof, 1, t)
+        mags = drift_scalar(prof, 1, t, 16)
         assert np.all(np.diff(mags) >= 0)
 
 
@@ -204,7 +204,7 @@ class TestQuadrature:
         t, a, b, p = 0.2, -0.5, -0.5, 1.0
 
         def integrand(s):
-            return (t - s) ** a * abs(drift_scalar(prof, 1, s)) * 2.0 * s ** b
+            return (t - s) ** a * abs(drift_scalar(prof, 1, s, 8)) * 2.0 * s ** b
 
         expect, _ = quad(integrand, 0, t, points=[0, t], limit=200)
         got = weighted_drift_integral(prof, 1, 8, direction, t, a, b, p,
@@ -315,7 +315,7 @@ class TestStatistics:
         vals = [compute_Zt(sample_real_gfs(prof, grid, stream(31, i)), t)
                 for i in range(1000)]
         se = math.sqrt(Z_variance(prof, 1, t) / len(vals))
-        assert abs(np.mean(vals) - expected_Zt(prof, 1, t)) < 5 * se
+        assert abs(np.mean(vals) - expected_Zt(prof, 1, t, 8)) < 5 * se
 
     def test_monte_carlo_variance_of_Z(self):
         grid = TorusGrid(1, 17)
@@ -333,7 +333,7 @@ class TestStatistics:
         X = SpectralField.constant(grid, [1.0])
         Y = SpectralField.constant(grid, [2.0])
         t_grid = geometric_grid(1.0, 1e-2, 10)
-        assert decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid) == 0.0
+        assert decorrelated_statistic(X, Y, 0.875, -0.5, t_grid) == 0.0
 
     @pytest.mark.parametrize("dim, modes", [(1, 65), (2, 17)])
     def test_decorrelated_statistic_with_and_without_a_decay_table(self, dim, modes):
@@ -345,8 +345,8 @@ class TestStatistics:
         Y = X.rotate()
         t_grid = geometric_grid(1.0, 1e-3, 10)
         decay = np.exp(-np.multiply.outer(t_grid, grid.k_squared))
-        got = decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid)
-        assert decorrelated_statistic(X, Y, 0, 0.875, -0.5, t_grid,
+        got = decorrelated_statistic(X, Y, 0.875, -0.5, t_grid)
+        assert decorrelated_statistic(X, Y, 0.875, -0.5, t_grid,
                                       decay=decay) == got
         prod = pointwise_product(SpectralField(grid, X.coeffs[0] * decay),
                                  SpectralField(grid, Y.derivative(0).coeffs[0] * decay))
@@ -381,7 +381,7 @@ class TestStatistics:
         ratios = g[1:] / g[:-1]
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-10
         with pytest.raises(ValueError):
-            geometric_grid(1e-3, 1.0)
+            geometric_grid(1e-3, 1.0, 10)
 
 
 @pytest.mark.parametrize("module", ["nlheat", "nlheat.cli"])

@@ -17,9 +17,9 @@ import yaml
 from nlheat import cli, experiments, sampling
 from nlheat.cli import main
 from nlheat.experiments import (ConfigError, ExperimentConfig,
-                                _inflation_trial, _trial_grid, run_inflation,
+                                _inflation_trial, run_inflation,
                                 run_perturbed_inflation, run_tables)
-from nlheat.correlation import ParameterSet
+from nlheat.correlation import ParameterSet, verify_It_bounds
 from nlheat.field import SpectralField, TorusGrid
 from nlheat.gfsf import read_field, write_field
 from nlheat.nonlinearity import SO3
@@ -179,7 +179,7 @@ class TestConfig:
         # d >= 2 keeps the complex fast sizes; d = 1 takes 5-smooth ones
         cfg = ExperimentConfig.from_dict(tiny_doc(
             grid={"dim": dim}, nonlinearity={"preset": name}))
-        grid = _trial_grid(cfg, radius, cfg.nonlinearity_spec())
+        grid = experiments.trial_data(cfg, cfg.nonlinearity_spec(), radius, 0)[0]
         assert grid.points_per_axis == points
 
     def test_profile_dispatch(self):
@@ -267,6 +267,10 @@ class TestConfig:
         ("inflate", "experiment", "trials", True),
         ("inflate", "experiment", "epsilon", math.nan),
         ("inflate", "experiment", "epsilon", math.inf),
+        ("inflate", "experiment", "epsilon", 0.0),
+        ("perturb", "experiment", "epsilon", -0.5),
+        ("tables", "experiment", "radii", [8, 16]),
+        ("tables", "experiment", "per_decade", 0),
         ("inflate", "experiment", "log_exponent", math.nan),
         ("tables", "experiment", "t_max", math.inf),
         ("inflate", "solver", "tol", math.inf),
@@ -277,6 +281,8 @@ class TestConfig:
              "tol-0", "tol-negative", "blowup-threshold-0", "snapshots-negative",
              "t-min-0", "t-max-below-t-min", "radius-non-integral",
              "trials-non-integral", "trials-bool", "epsilon-nan", "epsilon-inf",
+             "epsilon-0", "epsilon-negative", "tables-radii-without-lower-check",
+             "per-decade-0",
              "log-exponent-nan", "t-max-inf", "tol-inf", "gamma-nan", "gamma-inf"])
     def test_out_of_range_values_are_usage_errors_that_name_the_key(
             self, tmp_path, capsys, kind, section, key, value):
@@ -466,7 +472,8 @@ class TestInflation:
         for kind in ("inflate", "perturb"):
             with pytest.raises(ConfigError, match="witness"):
                 ExperimentConfig.from_dict(tiny_doc(kind=kind))
-        ExperimentConfig.from_dict(tiny_doc(kind="tables"))    # needs none
+        ExperimentConfig.from_dict(tiny_doc(                   # needs none
+            kind="tables", experiment={"radii": [8, 32]}))
 
     def test_summary_covers_radii(self):
         summary = run_inflation(ExperimentConfig.from_dict(tiny_doc()))
@@ -724,7 +731,7 @@ class TestTables:
             "kind": "tables", "seed": 5, "grid": {"dim": 1},
             "profile": {"kind": "white"},
             "nonlinearity": {"preset": "antisym2"},
-            "experiment": {"radii": [8, 16], "trials": 4,
+            "experiment": {"radii": [8, 32], "trials": 4,
                            "t_min": 1e-3, "t_max": 1e-1},
         }
 
@@ -739,6 +746,16 @@ class TestTables:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+    def test_radii_need_a_lower_It_check_by_the_rule_of_the_table(self):
+        # on the default t grid N = 18 admits no t for the lower |I_t|
+        # envelope and N = 19 does: the load check reads verify_It_bounds' rule
+        doc = {**self.base_doc(), "experiment": {"radii": [18, 19]}}
+        cfg = ExperimentConfig.from_dict(doc)
+        rep = verify_It_bounds(cfg.profile_for, 1, [1.0], [18, 19], cfg.t_grid())
+        assert rep.lower_ratio[18] is None and rep.lower_ratio[19] is not None
+        with pytest.raises(ConfigError, match=r"experiment\.radii .*\[8, 18\]"):
+            ExperimentConfig.from_dict({**doc, "experiment": {"radii": [8, 18]}})
 
     def test_deterministic_output(self, tmp_path):
         cfg = ExperimentConfig.from_dict(self.base_doc())
@@ -823,8 +840,8 @@ class TestCli:
         ("sample", "solve"), ("solve", "tables")])
     def test_a_command_rejects_a_config_of_another_kind(self, tmp_path, capsys,
                                                        command, kind):
-        p = tmp_path / "c.yaml"
-        p.write_text(yaml.safe_dump(tiny_doc(kind=kind)))
+        p = tmp_path / "c.yaml"      # radii a tables config may have
+        p.write_text(yaml.safe_dump(tiny_doc(kind=kind, experiment={"radii": [8, 32]})))
         assert main([command, "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

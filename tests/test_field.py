@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from nlheat.besov import DyadicPartition
+from nlheat.correlation import compute_Zt
 from nlheat.field import (REALITY_TOL, REAL_PRIMES, SpectralField, TorusGrid, analyze,
                           analyze_values, dealias_points, fast_len,
-                          pointwise_product, real_fields, synthesize_real)
-from nlheat.nonlinearity import preset
-from nlheat.sampling import VarianceProfile, sample_real_gfs, stream
-from nlheat.solver import SolveConfig, solve
+                          pointwise_product, real_fields, synthesize_coeffs,
+                          synthesize_real)
+from nlheat.gfsf import read_field, write_field
+from nlheat.nonlinearity import NonlinearitySpec, preset
+from nlheat.sampling import GfsSpec, VarianceProfile, sample_real_gfs, stream
+from nlheat.solver import SolveConfig, nonlinear_rhs_coeffs, solve
 
 
 def hermitian_field(grid, components=1, seed=0):
@@ -302,3 +306,66 @@ def test_half_cube_reality_check_matches_the_full_cube(dim, modes):
     defects = [SpectralField(grid, row).reality_defect() for row in stack]
     assert np.array_equal(defects, full_cube_defect(stack, dim), equal_nan=True)
     assert np.isnan(defects).any() and np.isinf(defects).any()
+
+
+def _zero(modes, components=1, dim=1):
+    return SpectralField.zero(TorusGrid(dim, modes), components)
+
+
+def _read_other_version(tmp_path):
+    path = tmp_path / "f.gfsf"
+    write_field(path, _zero(5))
+    raw = bytearray(path.read_bytes())
+    raw[4] += 1                         # the version byte follows the magic
+    path.write_bytes(bytes(raw))
+    return read_field(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda _: TorusGrid(0, 5), "dim must be >= 1, got 0"),
+    (lambda _: SpectralField(TorusGrid(1, 5), np.zeros((1, 7))),
+     r"coeffs shape \(1, 7\) does not match grid"),
+    (lambda _: SpectralField.from_components([_zero(5), _zero(7)]),
+     "component fields live on different grids"),
+    (lambda _: _zero(5, dim=2).derivative(2), "axis 2 out of range for dim 2"),
+    (lambda _: _zero(5).project_band(-1.0), "radius must be >= 0"),
+    (lambda _: _zero(5) + _zero(7), "grid mismatch"),
+    (lambda _: synthesize_coeffs(np.zeros((1, 5, 7)), TorusGrid(2, 5)),
+     "coefficients must end in the wavenumber cube"),
+    (lambda _: synthesize_coeffs(np.zeros((1, 5)), TorusGrid(1, 5), points=4),
+     "points >= M"),
+    (lambda _: analyze_values(np.zeros((8, 9)), TorusGrid(2, 5)),
+     "physical array is not a uniform cube"),
+    (lambda _: analyze_values(np.zeros(3), TorusGrid(1, 5)),
+     "physical grid coarser than the wavenumber band"),
+    (lambda _: pointwise_product(_zero(5), _zero(7)), "grid mismatch"),
+    (lambda _: pointwise_product(_zero(5), _zero(5, 2)), "component count mismatch"),
+    (lambda _: nonlinear_rhs_coeffs(np.zeros((6, 5, 5), complex), TorusGrid(2, 5, 8),
+                                    preset("dym", 2)),
+     r"cubic nonlinearity needs G >= 2M"),
+    (lambda _: nonlinear_rhs_coeffs(np.zeros((2, 5), complex), TorusGrid(1, 5, 7),
+                                    preset("antisym2", 1)),
+     r"quadratic nonlinearity needs G >= ceil\(3M/2\)"),
+    (lambda _: NonlinearitySpec.from_parts(1, 2, p0=[np.nan, 0.0]),
+     "p0 contains non-finite entries"),
+    (lambda _: VarianceProfile.white(-1.0), "cutoff must be >= 0"),
+    (lambda _: GfsSpec(TorusGrid(1, 5), VarianceProfile.white(2), 0),
+     "need at least one component"),
+    (lambda _: compute_Zt(_zero(5, 2), 0.1), "Z_t is defined for scalar fields"),
+    (_read_other_version, "unsupported GFSF version 2"),
+    (lambda _: DyadicPartition().chi_level(-2, 1.0), "level must be >= -1")],
+    ids=["grid-dim-0", "field-shape", "components-on-two-grids", "derivative-axis",
+         "band-radius-negative", "add-grid", "synthesize-non-cube",
+         "synthesize-few-points", "analyze-non-cube", "analyze-coarse",
+         "product-grid", "product-components", "rhs-cubic-headroom",
+         "rhs-quadratic-headroom", "spec-non-finite", "profile-cutoff-negative",
+         "gfs-no-component", "zt-vector-field", "gfsf-version", "chi-level-below-1"])
+def test_each_input_check_raises_its_message(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
+def test_real_coefficients_are_promoted_to_complex():
+    coeffs = np.arange(5.0)[None]
+    field = SpectralField(TorusGrid(1, 5), coeffs)
+    assert field.coeffs.dtype == complex and np.array_equal(field.coeffs, coeffs)

@@ -11,9 +11,9 @@ def test_identity_suite_passes(dim, monkeypatch):
     dims = []
     original = identities.expected_Zt
 
-    def recording_expected_Zt(profile, d, t, radius=None):
+    def recording_expected_Zt(profile, d, t, radius):
         dims.append(d)
-        return original(profile, d, t, radius=radius)
+        return original(profile, d, t, radius)
 
     monkeypatch.setattr(identities, "expected_Zt", recording_expected_Zt)
     results = run_identity_suite(seed=7, dim=dim)

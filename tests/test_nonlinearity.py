@@ -105,13 +105,6 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("navier")
 
-    @pytest.mark.parametrize("name", ["antisym2", "dym", "dymh"])
-    @pytest.mark.parametrize("algebra", [np.zeros((2, 2, 2)), SO3, SO3.tolist(), "su2"],
-                             ids=["zero-array", "so3-array", "so3-as-list", "su2"])
-    def test_an_algebra_other_than_so3_is_refused(self, name, algebra):
-        with pytest.raises(ValueError, match="algebra"):
-            preset(name, 2, algebra)
-
     def test_dymh_extends_dym(self):
         g = preset("dym", 2)
         h = preset("dymh", 2)

@@ -70,7 +70,7 @@ seed: 3
 grid: {dim: 2}
 profile: {kind: powerlog}
 nonlinearity: {preset: dym, algebra: so3}
-experiment: {radii: [8, 16], trials: 6}
+experiment: {radii: [8, 32], trials: 6}
 EOF
 cat > "$configs/base-inflate.yaml" <<'EOF'
 kind: inflate
